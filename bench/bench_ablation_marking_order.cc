@@ -54,10 +54,16 @@ int main() {
       exec::EngineOptions engine_options;
       engine_options.eps = defaults.eps;
       engine_options.workers = defaults.workers;
-      const exec::JoinRun run = exec::RunPartitionedJoin(
+      Result<exec::JoinRun> result = exec::TryRunPartitionedJoin(
           r, s, assign,
           core::CellAssignment::Hash(defaults.workers).AsOwnerFn(),
           engine_options);
+      if (!result.ok()) {
+        std::fprintf(stderr, "engine failed: %s\n",
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      const exec::JoinRun run = result.MoveValue();
       std::printf("%-14s %14s %14s %12zu %12zu\n",
                   agreements::MarkingOrderName(order),
                   WithCommas(run.metrics.ReplicatedTotal()).c_str(),

@@ -142,14 +142,10 @@ inline constexpr int kCancellationState = 40;
 /// thread snapshots registered heartbeats under it and cancels them only
 /// after releasing it, so it nests with nothing.
 inline constexpr int kWatchdogRegistry = 60;
-/// exec engine: per-phase recovery state (retry/speculation bookkeeping).
-/// Outermost engine lock — held while submitting to the thread pool.
+/// exec engine: attempt bookkeeping of one phase run with recovery on
+/// (retry queue, speculation, commit-once). Outermost engine lock; only
+/// trace instants are recorded under it.
 inline constexpr int kEnginePhaseState = 100;
-/// exec engine: one logical worker's partition store (join-vs-rebuild
-/// serialization). Never nested with another store's lock.
-inline constexpr int kEngineWorkerStore = 200;
-/// exec engine: lineage-rebuild time aggregation (inside the store lock).
-inline constexpr int kEngineRebuildStats = 300;
 /// exec engine: per-worker result-merge slots of the steal phases — a
 /// runner thread flushes its thread-local pair buffer into one slot per
 /// acquisition and never holds two slots at once (docs/PARALLELISM.md).
@@ -157,8 +153,7 @@ inline constexpr int kEngineOutputMerge = 350;
 /// exec::ThreadPool cancel-wake handshake (Wait(token)'s callback handoff);
 /// held while acquiring the pool lock, hence ranked just below it.
 inline constexpr int kThreadPoolCancelWake = 380;
-/// exec::ThreadPool queue/shutdown state; acquired by Submit() while the
-/// engine holds its phase-state lock.
+/// exec::ThreadPool queue/shutdown state.
 inline constexpr int kThreadPool = 400;
 /// exec engine: per-phase worker busy-time accumulation (PhaseClock).
 inline constexpr int kEnginePhaseClock = 500;

@@ -1,28 +1,30 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// Engine implementation. Two execution paths share the phase bodies:
+// Engine implementation: one phase sequence (map -> regroup -> join ->
+// optional dedup), every phase executed by the work-stealing RunStealPhase,
+// and the join stolen per (worker, partition) item. Fault recovery is a
+// policy of that runner, switched on by FaultOptions::enabled:
 //
-//   * the fast path (fault injection disabled): identical to the original
-//     engine — every task runs exactly once, map outputs are moved into the
-//     per-worker stores and freed eagerly;
-//   * the fault-tolerant path (FaultOptions::enabled): every phase runs
-//     under a recovery runner that re-executes failed tasks from retained
-//     inputs (bounded retries with exponential backoff), rebuilds a lost
-//     logical worker's partitions from their lineage, and launches
-//     speculative backups for straggling tasks (first finisher commits,
-//     exactly once). See docs/FAULT_TOLERANCE.md for the model.
+//   * off: every index runs exactly once, map outputs are moved into the
+//     per-worker stores and freed eagerly, and a thrown exception fails the
+//     job with kInternal. No attempt state, heartbeat or retained input is
+//     allocated;
+//   * on: every index keeps attempt state; a failed attempt (injected,
+//     thrown, stalled, or struck by the simulated worker loss) is re-queued
+//     after an exponential backoff, idle runners back up straggling
+//     attempts, and each index commits exactly once (first finisher wins).
+//     Regroup copies out of the retained map outputs and records each
+//     partition's lineage, so a lost worker's partitions are rebuilt one at
+//     a time. See docs/FAULT_TOLERANCE.md for the model.
 #include "exec/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -49,83 +51,15 @@ struct Routed {
   Tuple tuple;
 };
 
-/// Per-runner state marker for steal phases whose tasks need no scratch.
-struct NoPhaseState {};
-
-/// Work-stealing phase driver of the fast path (docs/PARALLELISM.md): runs
-/// `task(index, state)` for every index in [0, count) across the pool's
-/// threads. One runner per thread is submitted; each runner claims
-/// grain-sized index blocks from a StealQueue (own slice first, stealing
-/// once dry), so a straggling index range is finished by whichever thread
-/// frees up — logical workers stay a pure placement concept.
-///
-/// Accounting: each index's elapsed time is attributed to
-/// `owner_of(index)`'s logical worker in `clock`, accumulated in a
-/// thread-confined PhaseClock::Shard and merged once per runner (the
-/// per-thread-accumulation idiom; no per-task locking). When `trace` is
-/// set, the phase gets a `phase_name` span on the driver track and every
-/// index a `task_name` span on its owning worker's track — physical
-/// interleaving is invisible in the trace by design.
-///
-/// Per-runner scratch: `make_state()` builds one state object per runner
-/// thread (kernel scratch, emission buffers); `finish(state)` runs once per
-/// runner after its last claim (flushing buffers into shared slots).
-///
-/// The measured wall time of the phase is added to `*measured_seconds`
-/// (the physical makespan, as opposed to the clock's simulated one).
-///
-/// Cancellation: once `cancel` fires, runners stop claiming (and skip
-/// remaining indices of a claimed block), queued runners are dropped, and
-/// the token's status is returned — the phase's outputs must then be
-/// discarded. Kernel-level polls inside `task` keep finer granularity.
-template <typename OwnerOf, typename MakeState, typename Task,
-          typename Finish>
-Status RunStealPhase(ThreadPool* pool, int count, int grain, PhaseClock* clock,
-                     const OwnerOf& owner_of, const MakeState& make_state,
-                     const Task& task, const Finish& finish,
-                     obs::TraceRecorder* trace, const char* phase_name,
-                     const char* task_name, const CancellationToken& cancel,
-                     double* measured_seconds) {
-  obs::ScopedSpan phase_span(trace, phase_name, "phase");
-  phase_span.SetTrack(obs::kDriverTrack);
-  phase_span.AddArg("tasks", count);
-  Stopwatch phase_wall;
-  const int runners = std::min(pool->num_threads(), count);
-  StealQueue queue(count, std::max(1, runners), grain);
-  for (int rnr = 0; rnr < runners; ++rnr) {
-    pool->Submit([rnr, clock, trace, task_name, &queue, &owner_of,
-                  &make_state, &task, &finish, &cancel] {
-      if (cancel.IsCancelled()) return;  // dequeued after the cancel
-      PhaseClock::Shard shard(clock->workers());
-      auto state = make_state();
-      int begin = 0;
-      int end = 0;
-      while (!cancel.IsCancelled() && queue.Next(rnr, &begin, &end)) {
-        for (int i = begin; i < end; ++i) {
-          if (cancel.IsCancelled()) break;
-          const int w = owner_of(i);
-          obs::ScopedTrack track_scope(trace, w);
-          obs::ScopedSpan span(trace, task_name, "task");
-          span.AddArg("task", i);
-          Stopwatch watch;
-          task(i, state);
-          shard.Add(w, watch.ElapsedSeconds());
-        }
-      }
-      finish(state);
-      clock->Merge(shard);
-    });
-  }
-  Status st = pool->Wait(cancel);
-  if (measured_seconds != nullptr) {
-    *measured_seconds += phase_wall.ElapsedSeconds();
-  }
-  return st;
-}
-
+/// One partition's buffers on its owning worker. With recovery on,
+/// `lineage` lists the map tasks (input splits) that contributed tuples, in
+/// task order. The stores are held by the driver, so the lineage survives
+/// the loss of the worker's buffers — exactly like Spark's driver-side RDD
+/// lineage.
 struct PartitionBuffers {
   std::vector<Tuple> r;
   std::vector<Tuple> s;
+  std::vector<int32_t> lineage;
 };
 
 struct MapTaskOutput {
@@ -139,12 +73,6 @@ struct MapTaskOutput {
 
 /// Per-partition buffers held by one logical worker.
 using Store = std::unordered_map<PartitionId, PartitionBuffers>;
-
-/// Lineage of one worker's partitions: for each partition, the map tasks
-/// (input splits) that contributed tuples to it. Held by the driver, so it
-/// survives the loss of the worker itself — exactly like Spark's
-/// driver-side RDD lineage.
-using WorkerLineage = std::unordered_map<PartitionId, std::vector<int32_t>>;
 
 }  // namespace
 
@@ -206,8 +134,8 @@ LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed) {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Phase bodies shared by the fast and fault-tolerant paths. Each body is a
-// pure function of retained inputs, which is what makes re-execution safe.
+// Phase bodies. Each body is a pure function of retained inputs, which is
+// what makes re-execution safe.
 // ---------------------------------------------------------------------------
 
 /// Computes one map task: routes split `task % num_splits` of relation
@@ -266,125 +194,57 @@ MapTaskOutput ComputeMapTask(int task, const Dataset& r, const Dataset& s,
   return out;
 }
 
-/// Folds the map phase's counters into the job's counter registry (called
-/// once per phase, never per tuple — docs/OBSERVABILITY.md).
-void AccumulateMapMetrics(const std::vector<MapTaskOutput>& map_out,
-                          int num_splits, obs::CounterRegistry* reg) {
-  uint64_t replicated_r = 0;
-  uint64_t replicated_s = 0;
-  uint64_t shuffled_tuples = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t remote_bytes = 0;
-  for (size_t task = 0; task < map_out.size(); ++task) {
-    const MapTaskOutput& out = map_out[task];
-    if (task < static_cast<size_t>(num_splits)) {
-      replicated_r += out.replicated;
-    } else {
-      replicated_s += out.replicated;
-    }
-    shuffled_tuples += out.shuffled_tuples;
-    shuffle_bytes += out.shuffle_bytes;
-    remote_bytes += out.remote_bytes;
-  }
-  reg->Add("replicated_r", replicated_r);
-  reg->Add("replicated_s", replicated_s);
-  reg->Add("shuffled_tuples", shuffled_tuples);
-  reg->Add("shuffle_bytes", shuffle_bytes);
-  reg->Add("shuffle_remote_bytes", remote_bytes);
-}
-
-/// Records one instant fault event with a single integer arg.
-void FaultInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
-                  const char* arg_name, int64_t arg_value) {
-  if (trace == nullptr) return;
-  obs::TraceEvent e;
-  e.name = name;
-  e.category = "fault";
-  e.type = 'i';
-  e.start_ns = trace->NowNs();
-  e.track = track;
-  e.arg_names[0] = arg_name;
-  e.arg_values[0] = arg_value;
-  e.num_args = 1;
-  trace->Append(e);
-}
-
-/// Records one instant cancellation event ("cancel-abandon"); the
-/// trace_summary.py validator reconciles the count against the
-/// tasks_cancelled counter (docs/CANCELLATION.md).
-void CancelInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
-                   const char* arg_name, int64_t arg_value) {
-  if (trace == nullptr) return;
-  obs::TraceEvent e;
-  e.name = name;
-  e.category = "cancel";
-  e.type = 'i';
-  e.start_ns = trace->NowNs();
-  e.track = track;
-  e.arg_names[0] = arg_name;
-  e.arg_values[0] = arg_value;
-  e.num_args = 1;
-  trace->Append(e);
-}
-
-/// Regroup body of the fault-tolerant path: gathers worker `w`'s inbound
-/// tuples by *copying* from the retained map outputs and records each
-/// partition's lineage (the contributing map tasks). Polls `cancel` between
-/// map outputs; a cancelled call leaves a partial store the caller discards.
-void BuildWorkerStoreRetained(int w, const std::vector<MapTaskOutput>& map_out,
-                              Store* store, WorkerLineage* lineage,
-                              const spatial::KernelCancellation* cancel) {
-  for (size_t task = 0; task < map_out.size(); ++task) {
-    const MapTaskOutput& out = map_out[task];
-    if (out.by_worker.empty()) continue;
-    const std::vector<Routed>& inbound = out.by_worker[static_cast<size_t>(w)];
-    for (const Routed& routed : inbound) {
+/// Regroup body: gathers worker `w`'s inbound tuples into per-partition
+/// buffers, walking the map outputs in task order so every buffer's tuple
+/// order is deterministic. Without recovery the tuples are moved out and
+/// each drained inbound vector is freed at once. With recovery (`retain`)
+/// they are copied, the map outputs stay intact for re-execution, and each
+/// partition records its lineage. Polls `cancel` between map outputs; a
+/// cancelled call leaves a partial store the caller discards.
+void RegroupWorker(int w, std::vector<MapTaskOutput>* map_out, bool retain,
+                   Store* store, const spatial::KernelCancellation* cancel) {
+  for (size_t task = 0; task < map_out->size(); ++task) {
+    MapTaskOutput& out = (*map_out)[task];
+    std::vector<Routed>& inbound = out.by_worker[static_cast<size_t>(w)];
+    const size_t routed_count = inbound.size();
+    for (Routed& routed : inbound) {
       PartitionBuffers& buf = (*store)[routed.part];
-      (routed.side == Side::kR ? buf.r : buf.s).push_back(routed.tuple);
-      std::vector<int32_t>& contributors = (*lineage)[routed.part];
-      if (contributors.empty() ||
-          contributors.back() != static_cast<int32_t>(task)) {
-        contributors.push_back(static_cast<int32_t>(task));
+      std::vector<Tuple>& side = routed.side == Side::kR ? buf.r : buf.s;
+      if (!retain) {
+        side.push_back(std::move(routed.tuple));
+        continue;
+      }
+      side.push_back(routed.tuple);
+      if (buf.lineage.empty() ||
+          buf.lineage.back() != static_cast<int32_t>(task)) {
+        buf.lineage.push_back(static_cast<int32_t>(task));
       }
     }
+    if (!retain) std::vector<Routed>().swap(inbound);
     if (cancel != nullptr) {
-      cancel->Pulse(inbound.size());
+      cancel->Pulse(routed_count);
       if (cancel->ShouldStop()) return;
     }
   }
 }
 
-/// Lineage-based recovery: rebuilds a lost worker's partition buffers by
-/// re-reading exactly the retained map outputs its lineage names.
-Store RebuildWorkerStore(int w, const std::vector<MapTaskOutput>& map_out,
-                         const WorkerLineage& lineage) {
-  std::vector<int32_t> tasks;
-  for (const auto& [part, contributors] : lineage) {
-    (void)part;
-    tasks.insert(tasks.end(), contributors.begin(), contributors.end());
-  }
-  std::sort(tasks.begin(), tasks.end());
-  tasks.erase(std::unique(tasks.begin(), tasks.end()), tasks.end());
-  Store store;
-  for (int32_t task : tasks) {
-    const MapTaskOutput& out = map_out[static_cast<size_t>(task)];
-    if (out.by_worker.empty()) continue;
-    for (const Routed& routed : out.by_worker[static_cast<size_t>(w)]) {
-      PartitionBuffers& buf = store[routed.part];
-      (routed.side == Side::kR ? buf.r : buf.s).push_back(routed.tuple);
+/// Lineage-based recovery of one partition lost with its worker: re-reads
+/// exactly the retained map outputs its lineage names, in task order, so
+/// the rebuilt buffers equal the lost ones tuple for tuple.
+void RebuildPartition(int w, PartitionId part,
+                      const std::vector<int32_t>& lineage,
+                      const std::vector<MapTaskOutput>& map_out,
+                      PartitionBuffers* out) {
+  out->r.clear();
+  out->s.clear();
+  for (const int32_t task : lineage) {
+    for (const Routed& routed :
+         map_out[static_cast<size_t>(task)].by_worker[static_cast<size_t>(w)]) {
+      if (routed.part != part) continue;
+      (routed.side == Side::kR ? out->r : out->s).push_back(routed.tuple);
     }
   }
-  return store;
 }
-
-/// Output of one worker's join task.
-struct WorkerJoinOutput {
-  std::vector<ResultPair> pairs;
-  spatial::JoinCounters counters;
-  spatial::KernelTimings timings;
-  uint64_t partitions = 0;
-  uint64_t filtered = 0;
-};
 
 /// The resolved local-join strategy of one run: either the native SoA sweep
 /// fast path (no per-pair std::function anywhere) or a type-erased
@@ -404,70 +264,101 @@ KernelDispatch ResolveKernel(const EngineOptions& options,
     d.name = "custom";
     return d;
   }
+  d.name = spatial::LocalJoinKernelName(options.local_kernel);
   switch (options.local_kernel) {
     case spatial::LocalJoinKernel::kSweepSoA:
-      break;  // native fast path
+      return d;  // native fast path
     case spatial::LocalJoinKernel::kPlaneSweep:
-      d.use_soa = false;
       d.fn = PlaneSweepLocalJoin();
       break;
     case spatial::LocalJoinKernel::kNestedLoop:
-      d.use_soa = false;
       d.fn = NestedLoopLocalJoin();
       break;
     case spatial::LocalJoinKernel::kRTree:
-      d.use_soa = false;
       d.fn = RTreeProbeLocalJoin();
       break;
   }
-  d.name = spatial::LocalJoinKernelName(options.local_kernel);
+  d.use_soa = false;
   return d;
 }
 
-/// Kernel scratch of one join runner thread. SoaPartition instances are
-/// strictly one-per-thread (spatial/sweep_kernel.h threading contract); the
-/// self-join filter scratch rides along. Reused across every partition the
-/// runner joins.
-struct PartitionJoinScratch {
+/// The scalar join outputs of one logical worker (or of part of its items).
+struct JoinTotals {
+  spatial::JoinCounters counters;
+  spatial::KernelTimings timings;
+  uint64_t partitions = 0;
+  /// Self-join matches dropped by the r.id < s.id filter.
+  uint64_t filtered = 0;
+
+  JoinTotals& operator+=(const JoinTotals& o) {
+    counters += o.counters;
+    timings += o.timings;
+    partitions += o.partitions;
+    filtered += o.filtered;
+    return *this;
+  }
+};
+
+/// Thread-local join state of one steal-phase runner, reused across every
+/// partition it joins: the kernel scratch (SoaPartition instances are
+/// strictly one-per-thread, spatial/sweep_kernel.h), per-worker emission
+/// accumulators flushed in batches into the shared merge slots, and the
+/// rollback point of the running attempt.
+struct JoinThreadState {
+  explicit JoinThreadState(int workers) : acc(static_cast<size_t>(workers)) {}
+
+  struct WorkerAcc {
+    std::vector<ResultPair> pairs;
+    JoinTotals totals;
+  };
+
   spatial::SoaPartition soa_r;
   spatial::SoaPartition soa_s;
   std::vector<ResultPair> self_scratch;
+  std::vector<WorkerAcc> acc;
+  /// The attempted item's accumulator before the attempt; a discarded
+  /// attempt rolls back to it.
+  size_t undo_pairs = 0;
+  JoinTotals undo_totals;
+  /// Attempt-private buffers (recovery only): a rebuilt lost partition, or
+  /// the copied input of a kernel that may reorder it.
+  PartitionBuffers private_buf;
 };
 
-/// Joins ONE partition's buffers, appending into the caller's accumulators
-/// (a runner's per-worker slice on the fast path, the WorkerJoinOutput on
-/// the fault path). May reorder buffer contents (the local join owns them)
-/// but never changes the produced multiset, so re-execution after a partial
-/// attempt is safe. The native SoA path polls `cancel` inside the sweep
-/// (kKernelPollGrain pivots) and pulses once per partition; type-erased
-/// kernels pulse their candidate count after the partition (their
-/// LocalJoinFn signature predates cancellation). The caller checks
-/// ShouldStop() between partitions and discards partial state.
+/// Joins ONE partition's buffers, appending into `acc` (a runner's
+/// per-worker slice). May reorder buffer contents (the local
+/// join owns them) but never changes the produced multiset. The native SoA
+/// path polls `cancel` inside the sweep (kKernelPollGrain pivots) and pulses
+/// once per partition; type-erased kernels pulse their candidate count after
+/// the partition (their LocalJoinFn signature predates cancellation). The
+/// caller discards the output of a cancelled attempt.
 void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
                          const EngineOptions& options,
                          const KernelDispatch& kernel, bool keep_pairs,
-                         PartitionJoinScratch* scratch,
-                         std::vector<ResultPair>* pairs,
-                         spatial::JoinCounters* counters,
-                         spatial::KernelTimings* timings, uint64_t* filtered,
+                         JoinThreadState* scratch,
+                         JoinThreadState::WorkerAcc* acc,
                          obs::TraceRecorder* trace,
                          const spatial::KernelCancellation* cancel) {
   const bool self_join = options.self_join;
+  std::vector<ResultPair>* const pairs = &acc->pairs;
+  JoinTotals* const totals = &acc->totals;
   obs::ScopedSpan span(trace, "join-partition", "engine");
   span.SetStringArg("kernel", kernel.name);
   span.AddArg("cell", part);
-  const spatial::JoinCounters before = *counters;
+  const spatial::JoinCounters before = totals->counters;
+  ++totals->partitions;
+  uint64_t* const filtered = &totals->filtered;
   if (kernel.use_soa) {
-    scratch->soa_r.LoadSorted(buf->r, timings, trace);
-    scratch->soa_s.LoadSorted(buf->s, timings, trace);
+    scratch->soa_r.LoadSorted(buf->r, &totals->timings, trace);
+    scratch->soa_s.LoadSorted(buf->s, &totals->timings, trace);
     if (self_join) {
       // The sweep sees every ordered match; keep r.id < s.id (each
       // unordered pair once) and count the rest so the phase total can be
       // corrected, exactly like the generic path's emit wrapper.
       scratch->self_scratch.clear();
-      *counters += spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s,
-                                         options.eps, &scratch->self_scratch,
-                                         timings, trace, cancel);
+      totals->counters += spatial::SoaSweepJoin(
+          scratch->soa_r, scratch->soa_s, options.eps, &scratch->self_scratch,
+          &totals->timings, trace, cancel);
       Stopwatch filter_watch;
       for (const ResultPair& p : scratch->self_scratch) {
         if (p.r_id >= p.s_id) {
@@ -476,12 +367,11 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
         }
         if (keep_pairs) pairs->push_back(p);
       }
-      timings->emit_seconds += filter_watch.ElapsedSeconds();
+      totals->timings.emit_seconds += filter_watch.ElapsedSeconds();
     } else {
-      *counters += spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s,
-                                         options.eps,
-                                         keep_pairs ? pairs : nullptr,
-                                         timings, trace, cancel);
+      totals->counters += spatial::SoaSweepJoin(
+          scratch->soa_r, scratch->soa_s, options.eps,
+          keep_pairs ? pairs : nullptr, &totals->timings, trace, cancel);
     }
     // Partition boundary counts as progress too.
     if (cancel != nullptr) cancel->Pulse(1);
@@ -498,42 +388,20 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
           }
           if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
         };
-    *counters += kernel.fn(&buf->r, &buf->s, options.eps, emit);
+    totals->counters += kernel.fn(&buf->r, &buf->s, options.eps, emit);
     if (cancel != nullptr) {
-      cancel->Pulse(counters->candidates - before.candidates + 1);
+      cancel->Pulse(totals->counters.candidates - before.candidates + 1);
     }
   }
-  span.AddArg("candidates",
-              static_cast<int64_t>(counters->candidates - before.candidates));
-  span.AddArg("results",
-              static_cast<int64_t>(counters->results - before.results));
+  span.AddArg("candidates", static_cast<int64_t>(totals->counters.candidates -
+                                                 before.candidates));
+  span.AddArg("results", static_cast<int64_t>(totals->counters.results -
+                                              before.results));
 }
 
-/// Joins every non-empty partition of `store` (the fault-tolerant path's
-/// coarse per-worker join task; the fast path steals per-partition items
-/// instead).
-WorkerJoinOutput JoinWorkerStore(Store* store, const EngineOptions& options,
-                                 const KernelDispatch& kernel, bool keep_pairs,
-                                 obs::TraceRecorder* trace,
-                                 const spatial::KernelCancellation* cancel) {
-  WorkerJoinOutput out;
-  PartitionJoinScratch scratch;
-  for (auto& [part, buf] : *store) {
-    if (buf.r.empty() || buf.s.empty()) continue;
-    ++out.partitions;
-    JoinSinglePartition(part, &buf, options, kernel, keep_pairs, &scratch,
-                        &out.pairs, &out.counters, &out.timings,
-                        &out.filtered, trace, cancel);
-    if (cancel != nullptr && cancel->ShouldStop()) {
-      return out;  // partial; caller discards
-    }
-  }
-  return out;
-}
-
-/// One (worker, partition) unit of the fast path's stolen join phase. The
-/// buffer pointer stays valid for the whole phase: the stores are built
-/// before the items and never rehashed while the join runs.
+/// One (worker, partition) unit of the join phase. The buffer pointer stays
+/// valid for the whole phase: the stores are built before the items and
+/// never rehashed while the join runs.
 struct JoinItem {
   int worker = 0;
   PartitionId part = 0;
@@ -546,10 +414,7 @@ struct JoinItem {
 struct WorkerMergeSlot {
   Mutex mu{"WorkerMergeSlot::mu", lockrank::kEngineOutputMerge};
   std::vector<ResultPair> pairs PASJOIN_GUARDED_BY(mu);
-  spatial::JoinCounters counters PASJOIN_GUARDED_BY(mu);
-  spatial::KernelTimings timings PASJOIN_GUARDED_BY(mu);
-  uint64_t partitions PASJOIN_GUARDED_BY(mu) = 0;
-  uint64_t filtered PASJOIN_GUARDED_BY(mu) = 0;
+  JoinTotals totals PASJOIN_GUARDED_BY(mu);
 };
 
 /// A runner's thread-local pair buffer is flushed into the shared slot once
@@ -557,37 +422,13 @@ struct WorkerMergeSlot {
 /// memory while amortizing the slot lock over many partitions.
 constexpr size_t kPairFlushThreshold = size_t{1} << 15;
 
-/// Thread-local join state of one steal-phase runner: the kernel scratch
-/// plus per-worker emission accumulators flushed in batches into the
-/// shared merge slots.
-struct JoinThreadState {
-  explicit JoinThreadState(int workers) : acc(static_cast<size_t>(workers)) {}
-
-  struct WorkerAcc {
-    std::vector<ResultPair> pairs;
-    spatial::JoinCounters counters;
-    spatial::KernelTimings timings;
-    uint64_t partitions = 0;
-    uint64_t filtered = 0;
-  };
-
-  PartitionJoinScratch scratch;
-  std::vector<WorkerAcc> acc;
-};
-
 /// Flushes one per-worker accumulator into its shared slot and resets it.
 void FlushWorkerAcc(JoinThreadState::WorkerAcc* acc, WorkerMergeSlot* slot) {
   MutexLock lock(&slot->mu);
   slot->pairs.insert(slot->pairs.end(), acc->pairs.begin(), acc->pairs.end());
-  slot->counters += acc->counters;
-  slot->timings += acc->timings;
-  slot->partitions += acc->partitions;
-  slot->filtered += acc->filtered;
+  slot->totals += acc->totals;
   acc->pairs.clear();
-  acc->counters = spatial::JoinCounters{};
-  acc->timings = spatial::KernelTimings{};
-  acc->partitions = 0;
-  acc->filtered = 0;
+  acc->totals = JoinTotals{};
 }
 
 /// Hash-partitions one worker's result pairs across `workers` dedup buckets.
@@ -719,13 +560,512 @@ Status ValidateJoinInputs(const Dataset& r, const Dataset& s,
 }
 
 // ---------------------------------------------------------------------------
-// Fast path: the original single-attempt execution.
+// The phase runner and its recovery policy.
 // ---------------------------------------------------------------------------
 
-Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
-                            const AssignFn& assign, const OwnerFn& owner,
-                            const EngineOptions& options,
-                            const LocalJoinFn& local_join) {
+/// Span names of each Phase, indexed by its value.
+constexpr const char* kPhaseSpanNames[] = {
+    "phase-map", "phase-regroup", "phase-join", "phase-dedup-scatter",
+    "phase-dedup-merge"};
+constexpr const char* kTaskSpanNames[] = {
+    "map-task", "regroup-task", "join-task", "dedup-scatter-task",
+    "dedup-merge-task"};
+
+/// What every phase of one job runs in. Written by the driver thread
+/// between phases only; runner threads read it.
+struct JobContext {
+  ThreadPool* pool = nullptr;
+  CancellationToken token;
+  obs::TraceRecorder* trace = nullptr;
+  Watchdog* watchdog = nullptr;
+  obs::CounterRegistry* reg = nullptr;
+  /// The fault source; null when recovery is off.
+  const FaultInjector* injector = nullptr;
+  /// True once the configured worker loss has struck.
+  bool worker_lost = false;
+  double recovery_seconds = 0.0;
+};
+
+/// One claimed attempt of an index under recovery.
+struct Attempt {
+  int index = 0;
+  /// 0 for the first attempt; the FaultInjector keys decisions on it.
+  int number = 0;
+  /// Backoff waited before this retry (0 for first attempts and backups).
+  double backoff_seconds = 0.0;
+  bool is_retry = false;
+};
+
+/// How an attempt ended. kInterrupted (its token fired) is resolved into
+/// one of the others under the policy lock.
+enum class Outcome : uint8_t {
+  kSucceeded,
+  kFailed,
+  kInterrupted,
+  /// The job was cancelled (external token or deadline).
+  kAbandoned,
+  /// A sibling attempt of the same index committed first.
+  kSuperseded,
+};
+
+/// Attempt bookkeeping of one phase run with recovery on
+/// (docs/FAULT_TOLERANCE.md):
+///   * a failed attempt — injected, thrown, stalled (watchdog), or struck by
+///     the worker loss — is re-queued after an exponential backoff until
+///     FaultOptions::max_retries is exhausted, which aborts the phase with
+///     kResourceExhausted;
+///   * the worker loss fails the first attempt of every index the lost
+///     worker owns in its phase; from then on the worker's work is
+///     attributed to the failover neighbor (lost + 1) % workers;
+///   * once a quarter of the indices (at least 3) committed, an idle runner
+///     backs up an attempt running longer than straggler_multiplier x the
+///     median committed time (the median is refreshed whenever the
+///     committed count doubles);
+///   * the first successful attempt of an index commits and cancels its
+///     running siblings that hold a heartbeat; later finishers are
+///     discarded.
+/// Runner threads share the bookkeeping under mu_ (rank kEnginePhaseState,
+/// the outermost engine lock); only trace instants are recorded inside it.
+class RecoveryPolicy {
+ public:
+  RecoveryPolicy(const JobContext& job, Phase phase, int count,
+                 const char* task_name, bool lose_here, int workers)
+      : job_(job),
+        injector_(*job.injector),
+        options_(injector_.options()),
+        phase_(phase),
+        count_(count),
+        task_name_(task_name),
+        lose_here_(lose_here),
+        lost_(injector_.lost_worker()),
+        survivor_(lost_ >= 0 && workers >= 2 ? (lost_ + 1) % workers : -1),
+        states_(static_cast<size_t>(count)) {}
+
+  /// Claims runner `rnr`'s next attempt: a retry whose backoff elapsed, a
+  /// fresh index from `queue`, or a speculative backup, in that order.
+  /// Waits while only running attempts remain. Returns false once every
+  /// index committed, the phase aborted, or the job was cancelled.
+  bool Next(int rnr, StealQueue* queue, Attempt* attempt)
+      PASJOIN_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    while (!aborted_ && committed_ < count_ && !job_.token.IsCancelled()) {
+      const double now = watch_.ElapsedSeconds();
+      double wake = now + kIdlePollSeconds;
+      for (size_t k = 0; k < retries_.size(); ++k) {
+        if (retries_[k].ready_at > now) {
+          wake = std::min(wake, retries_[k].ready_at);
+          continue;
+        }
+        const QueuedRetry retry = retries_[k];
+        retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(k));
+        Launch(retry.index, retry.backoff_seconds, /*is_retry=*/true,
+               attempt);
+        return true;
+      }
+      int begin = 0;
+      int end = 0;
+      if (queue->Next(rnr, &begin, &end)) {
+        Launch(begin, 0.0, /*is_retry=*/false, attempt);
+        return true;
+      }
+      const int backup = SpeculationCandidate(now);
+      if (backup >= 0) {
+        Launch(backup, 0.0, /*is_retry=*/false, attempt);
+        return true;
+      }
+      cv_.WaitFor(&mu_, std::chrono::duration<double>(wake - now));
+    }
+    return false;
+  }
+
+  /// Executes `attempt` on the calling runner thread: consults the
+  /// FaultInjector, runs `task(index, state, cancel)`, and calls
+  /// `settle(index, state, commit)` after every task call — commit is true
+  /// for exactly one attempt per index. A committed attempt's time is
+  /// attributed in `shard`.
+  template <typename State, typename Task, typename Settle>
+  void Run(const Attempt& attempt, int owner, State& state, const Task& task,
+           const Settle& settle, PhaseClock::Shard* shard)
+      PASJOIN_EXCLUDES(mu_) {
+    const int i = attempt.index;
+    const bool straggler = injector_.IsStraggler(phase_, i, attempt.number);
+    // An attempt gets its own heartbeat (token + progress cell) only when
+    // something may have to stop it alone: the watchdog, or a sibling's
+    // commit ending a straggler or a re-execution. Others poll the job
+    // token.
+    std::shared_ptr<TaskHeartbeat> heartbeat;
+    if (straggler || attempt.number > 0 || job_.watchdog->stall_detection()) {
+      heartbeat = std::make_shared<TaskHeartbeat>(job_.token, task_name_, i);
+      {
+        MutexLock lock(&mu_);
+        states_[static_cast<size_t>(i)].live.push_back(heartbeat);
+      }
+      // Registered only once executing: queue wait must not count against
+      // the watchdog's quiet period.
+      job_.watchdog->Register(heartbeat);
+    }
+    const int attributed =
+        job_.worker_lost && owner == lost_ && survivor_ >= 0 ? survivor_
+                                                             : owner;
+    // The attempt span lands on the attributed worker's track; spans opened
+    // inside `task` inherit it. Failed and losing attempts record
+    // committed=0, so the trace rollup counts only what the PhaseClock did.
+    obs::ScopedTrack track_scope(job_.trace, attributed);
+    obs::ScopedSpan span(job_.trace, task_name_, "task");
+    span.AddArg("task", i);
+    span.AddArg("attempt", attempt.number);
+    Stopwatch watch;
+    const CancellationToken token =
+        heartbeat != nullptr ? heartbeat->token() : job_.token;
+    Outcome outcome = Outcome::kSucceeded;
+    std::string error;
+    if (lose_here_ && attempt.number == 0 && owner == lost_) {
+      outcome = Outcome::kFailed;
+      error = "logical worker " + std::to_string(lost_) + " lost";
+    } else if (injector_.ShouldFail(phase_, i, attempt.number)) {
+      outcome = Outcome::kFailed;
+      error = "injected fault";
+    } else if (straggler &&
+               token.WaitForCancellation(injector_.StragglerDelaySeconds())) {
+      // The straggler delay was cut short: a job cancel, a sibling's
+      // commit, or the watchdog's stall verdict (the heartbeat stays flat
+      // while the straggler sleeps — the stall signature).
+      outcome = Outcome::kInterrupted;
+    }
+    const bool ran = outcome == Outcome::kSucceeded;
+    if (ran) {
+      const spatial::KernelCancellation cancel{
+          &token, heartbeat != nullptr ? heartbeat->cell() : nullptr};
+      try {
+        task(i, state, &cancel);
+      } catch (const std::exception& e) {
+        outcome = Outcome::kFailed;
+        error = e.what();
+      } catch (...) {
+        outcome = Outcome::kFailed;
+        error = "unknown exception";
+      }
+      // A token that fired mid-task cut it short: its output is partial.
+      if (outcome == Outcome::kSucceeded && token.IsCancelled()) {
+        outcome = Outcome::kInterrupted;
+      }
+    }
+    if (outcome == Outcome::kInterrupted) error = token.ToStatus().message();
+    const double elapsed = watch.ElapsedSeconds();
+    std::vector<std::shared_ptr<TaskHeartbeat>> siblings;
+    const bool winner = EndAttempt(attempt, outcome, error, elapsed, attributed,
+                                   heartbeat, &siblings);
+    if (ran) settle(i, state, winner);
+    if (winner) shard->Add(attributed, elapsed);
+    span.AddArg("committed", winner ? 1 : 0);
+    if (heartbeat != nullptr) job_.watchdog->Unregister(heartbeat);
+    // The winner interrupts still-running siblings (speculation losers, or
+    // the straggler a backup beat): each stops at its next poll instead of
+    // finishing work that can never commit. Outside every lock.
+    for (const std::shared_ptr<TaskHeartbeat>& other : siblings) {
+      other->Cancel(StatusCode::kCancelled, "sibling attempt committed");
+    }
+  }
+
+  /// Folds the phase's recovery counters into the job; returns the abort
+  /// status, if any. Call after every runner returned.
+  Status Finish(JobContext* job) PASJOIN_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    job->reg->Add("tasks_failed", failed_);
+    job->reg->Add("tasks_retried", retried_);
+    job->reg->Add("tasks_speculated", speculated_);
+    job->reg->Add("tasks_cancelled", cancelled_);
+    job->recovery_seconds += recovery_seconds_;
+    return aborted_ ? failure_ : Status::OK();
+  }
+
+ private:
+  /// Idle runners re-check for stragglers (and the job token) this often.
+  static constexpr double kIdlePollSeconds = 500e-6;
+
+  struct AttemptState {
+    bool committed = false;
+    bool speculated = false;
+    int attempts = 0;
+    int running = 0;
+    int failures = 0;
+    /// Phase seconds at which the oldest running attempt began; drives the
+    /// speculation threshold.
+    double started_at = 0.0;
+    std::string last_error;
+    /// Heartbeats of the running attempts; the winner cancels the others.
+    std::vector<std::shared_ptr<TaskHeartbeat>> live;
+  };
+
+  struct QueuedRetry {
+    int index = 0;
+    double ready_at = 0.0;
+    double backoff_seconds = 0.0;
+  };
+
+  void Launch(int i, double backoff_seconds, bool is_retry, Attempt* attempt)
+      PASJOIN_REQUIRES(mu_) {
+    AttemptState& st = states_[static_cast<size_t>(i)];
+    *attempt = Attempt{i, st.attempts++, backoff_seconds, is_retry};
+    if (st.running++ == 0) {
+      running_.push_back(i);
+      st.started_at = watch_.ElapsedSeconds();
+    }
+  }
+
+  /// The first running, not yet backed-up attempt older than the straggler
+  /// threshold, marked speculated; -1 when there is none.
+  int SpeculationCandidate(double now) PASJOIN_REQUIRES(mu_) {
+    const size_t min_samples =
+        std::max<size_t>(3, static_cast<size_t>(count_) / 4);
+    if (!options_.speculation || durations_.size() < min_samples) return -1;
+    if (durations_.size() >= 2 * median_samples_) {
+      std::vector<double> sorted = durations_;
+      const auto mid = static_cast<std::ptrdiff_t>(sorted.size() / 2);
+      std::nth_element(sorted.begin(), sorted.begin() + mid, sorted.end());
+      median_ = sorted[static_cast<size_t>(mid)];
+      median_samples_ = durations_.size();
+    }
+    const double threshold =
+        std::max(options_.straggler_multiplier * median_, 1e-3);
+    for (const int i : running_) {
+      AttemptState& st = states_[static_cast<size_t>(i)];
+      if (st.committed || st.speculated || now - st.started_at <= threshold) {
+        continue;
+      }
+      st.speculated = true;
+      ++speculated_;
+      Instant("fault-speculate", "fault", obs::kDriverTrack, i);
+      return i;
+    }
+    return -1;
+  }
+
+  /// Books the end of one attempt; returns true when it commits its index
+  /// and fills `siblings` with the heartbeats the winner must cancel. An
+  /// interrupted attempt was abandoned if the job was cancelled, superseded
+  /// if a sibling committed, and otherwise stalled — a failure, so the index
+  /// is re-executed from its retained input.
+  bool EndAttempt(const Attempt& attempt, Outcome outcome,
+                  const std::string& error, double elapsed, int attributed,
+                  const std::shared_ptr<TaskHeartbeat>& heartbeat,
+                  std::vector<std::shared_ptr<TaskHeartbeat>>* siblings)
+      PASJOIN_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    const int i = attempt.index;
+    AttemptState& st = states_[static_cast<size_t>(i)];
+    st.live.erase(std::remove(st.live.begin(), st.live.end(), heartbeat),
+                  st.live.end());
+    if (--st.running == 0) {
+      running_.erase(std::find(running_.begin(), running_.end(), i));
+    }
+    if (attempt.is_retry) {
+      recovery_seconds_ += attempt.backoff_seconds + elapsed;
+    }
+    if (outcome == Outcome::kInterrupted) {
+      outcome = job_.token.IsCancelled() ? Outcome::kAbandoned
+                : st.committed           ? Outcome::kSuperseded
+                                         : Outcome::kFailed;
+    }
+    if (outcome == Outcome::kAbandoned) {
+      ++cancelled_;
+      Instant("cancel-abandon", "cancel", obs::kDriverTrack, i);
+    } else if (outcome == Outcome::kFailed) {
+      ++st.failures;
+      ++failed_;
+      st.last_error = error;
+      Instant("fault-failure", "fault", attributed, i);
+      // A sibling still running may yet commit; its own end decides.
+      if (!st.committed && st.running == 0) QueueRetry(i);
+    } else if (outcome == Outcome::kSucceeded && !st.committed) {
+      st.committed = true;
+      durations_.push_back(elapsed);
+      *siblings = st.live;
+      if (++committed_ == count_) cv_.NotifyAll();
+      return true;
+    }
+    return false;
+  }
+
+  /// Records instant `name` about index `i`. Category "cancel" instants
+  /// are reconciled against tasks_cancelled by trace_summary.py.
+  void Instant(const char* name, const char* category, int32_t track, int i) {
+    if (job_.trace == nullptr) return;
+    job_.trace->Instant(name, category, track, "task", i);
+  }
+
+  /// Re-queues failed index `i` behind its backoff, or aborts the phase
+  /// once its retry budget is spent.
+  void QueueRetry(int i) PASJOIN_REQUIRES(mu_) {
+    AttemptState& st = states_[static_cast<size_t>(i)];
+    cv_.NotifyAll();
+    if (st.failures > options_.max_retries) {
+      if (!aborted_) {
+        aborted_ = true;
+        failure_ = Status::ResourceExhausted(
+            "task " + std::to_string(i) + " of phase " + PhaseName(phase_) +
+            " failed " + std::to_string(st.failures) +
+            " time(s), retry budget (" + std::to_string(options_.max_retries) +
+            ") exhausted; last error: " + st.last_error);
+      }
+      return;
+    }
+    const double backoff_seconds =
+        options_.backoff_base_ms *
+        std::pow(options_.backoff_multiplier, st.failures - 1) / 1000.0;
+    retries_.push_back(QueuedRetry{
+        i, watch_.ElapsedSeconds() + backoff_seconds, backoff_seconds});
+    ++retried_;
+    Instant("fault-retry", "fault", obs::kDriverTrack, i);
+    if (backoff_seconds > 0.0) {
+      Instant("fault-backoff", "fault", obs::kDriverTrack, i);
+    }
+  }
+
+  const JobContext& job_;
+  const FaultInjector& injector_;
+  const FaultOptions& options_;
+  const Phase phase_;
+  const int count_;
+  const char* const task_name_;
+  const bool lose_here_;
+  const int lost_;
+  const int survivor_;
+  const Stopwatch watch_;
+
+  Mutex mu_{"RecoveryPolicy::mu_", lockrank::kEnginePhaseState};
+  CondVar cv_;
+  std::vector<AttemptState> states_ PASJOIN_GUARDED_BY(mu_);
+  /// Indices with at least one running attempt (speculation scans these).
+  std::vector<int> running_ PASJOIN_GUARDED_BY(mu_);
+  std::vector<QueuedRetry> retries_ PASJOIN_GUARDED_BY(mu_);
+  int committed_ PASJOIN_GUARDED_BY(mu_) = 0;
+  bool aborted_ PASJOIN_GUARDED_BY(mu_) = false;
+  Status failure_ PASJOIN_GUARDED_BY(mu_);
+  std::vector<double> durations_ PASJOIN_GUARDED_BY(mu_);
+  double median_ PASJOIN_GUARDED_BY(mu_) = 0.0;
+  size_t median_samples_ PASJOIN_GUARDED_BY(mu_) = 0;
+  uint64_t failed_ PASJOIN_GUARDED_BY(mu_) = 0;
+  uint64_t retried_ PASJOIN_GUARDED_BY(mu_) = 0;
+  uint64_t speculated_ PASJOIN_GUARDED_BY(mu_) = 0;
+  uint64_t cancelled_ PASJOIN_GUARDED_BY(mu_) = 0;
+  double recovery_seconds_ PASJOIN_GUARDED_BY(mu_) = 0.0;
+};
+
+/// Work-stealing phase driver (docs/PARALLELISM.md): runs every index in
+/// [0, count) of `phase` across the pool's threads. One runner per thread
+/// is submitted; each builds its scratch with `make_state()` and claims
+/// grain-sized index blocks from a StealQueue (own slice first, stealing
+/// once dry), so a straggling index range is finished by whichever thread
+/// frees up — logical workers stay a pure placement concept. An index runs
+/// as `task(index, state, cancel)` followed by `settle(index, state,
+/// commit)`, which publishes the output when `commit` and discards it
+/// otherwise; `finish(state)` runs once per runner after its last index.
+/// With recovery on (job->injector set), runners claim one index at a time
+/// through a RecoveryPolicy; otherwise every index runs once and commits,
+/// and a throw propagates.
+///
+/// Each committed index's time is attributed to `owner_of(index)`'s logical
+/// worker in `clock` via a thread-confined PhaseClock::Shard merged once per
+/// runner; the phase's wall time is added to `*measured_seconds`. Once the
+/// job token fires, runners stop claiming, queued runners are dropped, and
+/// the token's status is returned — the phase's outputs must be discarded.
+template <typename OwnerOf, typename MakeState, typename Task,
+          typename Settle, typename Finish>
+Status RunStealPhase(JobContext* job, Phase phase, int count, int grain,
+                     PhaseClock* clock, const OwnerOf& owner_of,
+                     const MakeState& make_state, const Task& task,
+                     const Settle& settle, const Finish& finish,
+                     double* measured_seconds) {
+  obs::TraceRecorder* const trace = job->trace;
+  const char* const task_name = kTaskSpanNames[static_cast<int>(phase)];
+  obs::ScopedSpan phase_span(trace, kPhaseSpanNames[static_cast<int>(phase)],
+                             "phase");
+  phase_span.SetTrack(obs::kDriverTrack);
+  phase_span.AddArg("tasks", count);
+  Stopwatch phase_wall;
+  std::unique_ptr<RecoveryPolicy> recovery;
+  if (job->injector != nullptr) {
+    const bool lose_here = job->injector->LosesWorkerIn(phase);
+    if (lose_here) {
+      job->worker_lost = true;
+      if (trace != nullptr) {
+        trace->Instant("fault-worker-lost", "fault", obs::kDriverTrack,
+                       "worker", job->injector->lost_worker());
+      }
+    }
+    recovery = std::make_unique<RecoveryPolicy>(
+        *job, phase, count, task_name, lose_here, clock->workers());
+    grain = 1;
+  }
+  const CancellationToken& cancel = job->token;
+  const spatial::KernelCancellation job_cancel{&cancel, nullptr};
+  const int runners = std::min(job->pool->num_threads(), count);
+  StealQueue queue(count, std::max(1, runners), grain);
+  for (int rnr = 0; rnr < runners; ++rnr) {
+    job->pool->Submit([&, rnr] {
+      if (cancel.IsCancelled()) return;  // dequeued after the cancel
+      PhaseClock::Shard shard(clock->workers());
+      auto state = make_state();
+      if (recovery != nullptr) {
+        Attempt attempt;
+        while (recovery->Next(rnr, &queue, &attempt)) {
+          recovery->Run(attempt, owner_of(attempt.index), state, task, settle,
+                        &shard);
+        }
+      } else {
+        int begin = 0;
+        int end = 0;
+        while (!cancel.IsCancelled() && queue.Next(rnr, &begin, &end)) {
+          for (int i = begin; i < end && !cancel.IsCancelled(); ++i) {
+            const int w = owner_of(i);
+            obs::ScopedTrack track_scope(trace, w);
+            obs::ScopedSpan span(trace, task_name, "task");
+            span.AddArg("task", i);
+            Stopwatch watch;
+            task(i, state, &job_cancel);
+            settle(i, state, /*commit=*/true);
+            shard.Add(w, watch.ElapsedSeconds());
+          }
+        }
+      }
+      finish(state);
+      clock->Merge(shard);
+    });
+  }
+  Status st = job->pool->Wait(cancel);
+  if (recovery != nullptr) {
+    const Status recovered = recovery->Finish(job);
+    if (st.ok()) st = recovered;
+  }
+  *measured_seconds += phase_wall.ElapsedSeconds();
+  return st;
+}
+
+/// RunStealPhase for phases whose index `i` computes one value for
+/// `(*slots)[i]`: an attempt computes into runner-local state and only the
+/// committing attempt moves it into its slot.
+template <typename Out, typename OwnerOf, typename Compute>
+Status RunSlotPhase(JobContext* job, Phase phase, PhaseClock* clock,
+                    const OwnerOf& owner_of, std::vector<Out>* slots,
+                    const Compute& compute, double* measured_seconds) {
+  return RunStealPhase(
+      job, phase, static_cast<int>(slots->size()), /*grain=*/1, clock,
+      owner_of, [] { return Out{}; },
+      [&](int i, Out& out, const spatial::KernelCancellation* cancel) {
+        out = compute(i, cancel);
+      },
+      [slots](int i, Out& out, bool commit) {
+        if (commit) (*slots)[static_cast<size_t>(i)] = std::move(out);
+        out = Out{};
+      },
+      [](Out&) {}, measured_seconds);
+}
+
+Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
+                       const AssignFn& assign, const OwnerFn& owner,
+                       const EngineOptions& options,
+                       const LocalJoinFn& local_join) {
   const KernelDispatch kernel = ResolveKernel(options, local_join);
   obs::TraceRecorder* const trace = options.trace;
   // The job's integer observables accumulate in a counter registry — the
@@ -741,14 +1081,16 @@ Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
       options.num_splits > 0 ? options.num_splits : 4 * workers;
   const int physical = options.physical_threads > 0 ? options.physical_threads
                                                     : ThreadPool::DefaultThreads();
+  const bool recovering = options.fault.enabled;
   // Destruction order matters: the pool is declared LAST so it drains its
   // tasks first, then the watchdog thread joins, then the job source (which
   // task tokens link to) goes away.
   CancellationSource job_source(options.cancel);
-  const CancellationToken job_token = job_source.token();
   Watchdog watchdog(options.watchdog, options.deadline, &job_source, trace);
-  const spatial::KernelCancellation job_cancel{&job_token, nullptr};
+  FaultInjector injector(options.fault);
   ThreadPool pool(physical);
+  JobContext job{&pool, job_source.token(), trace, &watchdog, reg,
+                 recovering ? &injector : nullptr};
 
   JoinRun run;
   JobMetrics& m = run.metrics;
@@ -758,60 +1100,48 @@ Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
   double measured_construction = 0.0;
   double measured_join = 0.0;
   double measured_dedup = 0.0;
+  const auto by_worker = [](int w) { return w; };
 
   // ---------------------------------------------------------------- map ---
   // Each relation is divided into `num_splits` contiguous splits; split k is
   // co-located with logical worker k % workers (its "HDFS block locality").
-  // Every map task writes its own output slot, so stealing needs no merge.
-  const int total_map_tasks = 2 * num_splits;
-  std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
+  std::vector<MapTaskOutput> map_out(static_cast<size_t>(2 * num_splits));
   PhaseClock map_clock(workers);
-  auto map_owner = [&](int task) { return (task % num_splits) % workers; };
-  {
-    Status st = RunStealPhase(
-        &pool, total_map_tasks, /*grain=*/1, &map_clock, map_owner,
-        [] { return NoPhaseState{}; },
-        [&](int task, NoPhaseState&) {
-          map_out[static_cast<size_t>(task)] =
-              ComputeMapTask(task, r, s, assign, owner, options, num_splits,
-                             workers, &job_cancel);
-        },
-        [](NoPhaseState&) {}, trace, "phase-map", "map-task", job_token,
-        &measured_construction);
-    if (!st.ok()) return st;
+  PASJOIN_RETURN_NOT_OK(RunSlotPhase(
+      &job, Phase::kMap, &map_clock,
+      [&](int task) { return (task % num_splits) % workers; }, &map_out,
+      [&](int task, const spatial::KernelCancellation* cancel) {
+        return ComputeMapTask(task, r, s, assign, owner, options, num_splits,
+                              workers, cancel);
+      },
+      &measured_construction));
+  // Counters fold at the phase boundary, never per tuple
+  // (docs/OBSERVABILITY.md).
+  for (size_t task = 0; task < map_out.size(); ++task) {
+    const MapTaskOutput& out = map_out[task];
+    reg->Add(task < static_cast<size_t>(num_splits) ? "replicated_r"
+                                                    : "replicated_s",
+             out.replicated);
+    reg->Add("shuffled_tuples", out.shuffled_tuples);
+    reg->Add("shuffle_bytes", out.shuffle_bytes);
+    reg->Add("shuffle_remote_bytes", out.remote_bytes);
   }
-  AccumulateMapMetrics(map_out, num_splits, reg);
 
   // ------------------------------------------------------------ regroup ---
-  // Each worker gathers its inbound tuples into per-partition buffers; the
-  // fast path moves them out of the map outputs and frees the shuffle
-  // early. Stolen at worker granularity: each index touches only its own
-  // worker's by_worker slots, and walking the map outputs in task order
-  // keeps every buffer's tuple order deterministic.
+  // Each worker gathers its inbound tuples into per-partition buffers. With
+  // recovery on, the map outputs are the retained input every re-execution
+  // recovers from, so they are copied and stay alive until the join phase
+  // has fully committed.
   std::vector<Store> stores(static_cast<size_t>(workers));
   PhaseClock regroup_clock(workers);
-  {
-    Status st = RunStealPhase(
-        &pool, workers, /*grain=*/1, &regroup_clock,
-        [](int w) { return w; }, [] { return NoPhaseState{}; },
-        [&](int w, NoPhaseState&) {
-          Store& store = stores[static_cast<size_t>(w)];
-          for (MapTaskOutput& out : map_out) {
-            if (out.by_worker.empty()) continue;
-            for (Routed& routed : out.by_worker[static_cast<size_t>(w)]) {
-              PartitionBuffers& buf = store[routed.part];
-              (routed.side == Side::kR ? buf.r : buf.s)
-                  .push_back(std::move(routed.tuple));
-            }
-            out.by_worker[static_cast<size_t>(w)].clear();
-          }
-        },
-        [](NoPhaseState&) {}, trace, "phase-regroup", "regroup-task",
-        job_token, &measured_construction);
-    if (!st.ok()) return st;
-  }
-  map_out.clear();
-  map_out.shrink_to_fit();
+  PASJOIN_RETURN_NOT_OK(RunSlotPhase(
+      &job, Phase::kRegroup, &regroup_clock, by_worker, &stores,
+      [&](int w, const spatial::KernelCancellation* cancel) {
+        Store store;
+        RegroupWorker(w, &map_out, recovering, &store, cancel);
+        return store;
+      },
+      &measured_construction));
 
   // --------------------------------------------------------------- join ---
   // The stolen unit is one (worker, partition) pair, not one worker: LPT
@@ -834,24 +1164,69 @@ Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
                 return a.part < b.part;
               });
   }
+  // Targeted failures strike the named partition's own join item. All
+  // runners of the previous phases have returned, so registering now
+  // happens-before every concurrent query of the join phase.
+  const std::vector<int32_t>& fail_partitions = options.fault.fail_partitions;
+  for (size_t i = 0; recovering && i < join_items.size(); ++i) {
+    if (std::find(fail_partitions.begin(), fail_partitions.end(),
+                  join_items[i].part) != fail_partitions.end()) {
+      injector.AddTargetedFailure(Phase::kJoin, static_cast<int>(i));
+    }
+  }
+  // A worker lost in the join phase takes its partition buffers with it;
+  // its items rebuild them from lineage, one partition per attempt.
+  const int lost = options.fault.lost_worker;
+  const bool rebuild = recovering && injector.LosesWorkerIn(Phase::kJoin);
+  if (rebuild) {
+    for (auto& [part, buf] : stores[static_cast<size_t>(lost)]) {
+      std::vector<Tuple>().swap(buf.r);
+      std::vector<Tuple>().swap(buf.s);
+    }
+  }
   std::vector<WorkerMergeSlot> merge_slots(static_cast<size_t>(workers));
   PhaseClock join_clock(workers);
   {
     const int item_count = static_cast<int>(join_items.size());
-    Status st = RunStealPhase(
-        &pool, item_count,
+    PASJOIN_RETURN_NOT_OK(RunStealPhase(
+        &job, Phase::kJoin, item_count,
         StealQueue::DefaultGrain(item_count, pool.num_threads()), &join_clock,
         [&](int i) { return join_items[static_cast<size_t>(i)].worker; },
         [&] { return JoinThreadState(workers); },
-        [&](int i, JoinThreadState& state) {
+        [&](int i, JoinThreadState& state,
+            const spatial::KernelCancellation* cancel) {
           const JoinItem& item = join_items[static_cast<size_t>(i)];
           JoinThreadState::WorkerAcc& acc =
               state.acc[static_cast<size_t>(item.worker)];
-          ++acc.partitions;
-          JoinSinglePartition(item.part, item.buf, options, kernel,
-                              keep_pairs, &state.scratch, &acc.pairs,
-                              &acc.counters, &acc.timings, &acc.filtered,
-                              trace, &job_cancel);
+          state.undo_pairs = acc.pairs.size();
+          state.undo_totals = acc.totals;
+          PartitionBuffers* buf = item.buf;
+          if (rebuild && item.worker == lost) {
+            obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
+            rebuild_span.AddArg("worker", item.worker);
+            rebuild_span.AddArg("cell", item.part);
+            RebuildPartition(item.worker, item.part, buf->lineage, map_out,
+                             &state.private_buf);
+            buf = &state.private_buf;
+          } else if (recovering && !kernel.use_soa) {
+            // Generic kernels may reorder their input, and a speculative
+            // sibling may be reading the same buffers.
+            state.private_buf.r = buf->r;
+            state.private_buf.s = buf->s;
+            buf = &state.private_buf;
+          }
+          JoinSinglePartition(item.part, buf, options, kernel, keep_pairs,
+                              &state, &acc, trace, cancel);
+        },
+        [&](int i, JoinThreadState& state, bool commit) {
+          const JoinItem& item = join_items[static_cast<size_t>(i)];
+          JoinThreadState::WorkerAcc& acc =
+              state.acc[static_cast<size_t>(item.worker)];
+          if (!commit) {
+            acc.pairs.resize(state.undo_pairs);
+            acc.totals = state.undo_totals;
+            return;
+          }
           if (acc.pairs.size() >= kPairFlushThreshold) {
             FlushWorkerAcc(&acc,
                            &merge_slots[static_cast<size_t>(item.worker)]);
@@ -863,85 +1238,64 @@ Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
                            &merge_slots[static_cast<size_t>(w)]);
           }
         },
-        trace, "phase-join", "join-task", job_token, &measured_join);
-    if (!st.ok()) return st;
+        &measured_join));
   }
   m.local_kernel = kernel.name;
   std::vector<std::vector<ResultPair>> worker_pairs(
       static_cast<size_t>(workers));
   {
-    uint64_t candidates = 0;
-    uint64_t results = 0;
-    uint64_t partitions = 0;
+    JoinTotals totals;
     for (int w = 0; w < workers; ++w) {
       WorkerMergeSlot& slot = merge_slots[static_cast<size_t>(w)];
       MutexLock lock(&slot.mu);
       worker_pairs[static_cast<size_t>(w)] = std::move(slot.pairs);
-      candidates += slot.counters.candidates;
-      results += slot.counters.results - slot.filtered;
-      partitions += slot.partitions;
-      m.kernel_sort_seconds += slot.timings.sort_seconds;
-      m.kernel_sweep_seconds += slot.timings.sweep_seconds;
-      m.kernel_emit_seconds += slot.timings.emit_seconds;
+      totals += slot.totals;
     }
-    reg->Add("candidates", candidates);
-    reg->Add("results", results);
-    reg->Add("partitions_joined", partitions);
+    m.kernel_sort_seconds = totals.timings.sort_seconds;
+    m.kernel_sweep_seconds = totals.timings.sweep_seconds;
+    m.kernel_emit_seconds = totals.timings.emit_seconds;
+    reg->Add("candidates", totals.counters.candidates);
+    reg->Add("results", totals.counters.results - totals.filtered);
+    reg->Add("partitions_joined", totals.partitions);
   }
   join_items.clear();
   stores.clear();
+  map_out.clear();
+  map_out.shrink_to_fit();
 
   // -------------------------------------------------------------- dedup ---
   // Parallel distinct over the produced pairs (the paper's non-duplicate-
   // free variant, Table 6): hash-partition pairs across workers, then each
   // worker removes duplicates in its bucket.
-  PhaseClock dedup_clock(workers);
   if (options.deduplicate) {
     std::vector<std::vector<std::vector<ResultPair>>> buckets(
         static_cast<size_t>(workers));
     PhaseClock scatter_clock(workers);
-    {
-      Status st = RunStealPhase(
-          &pool, workers, /*grain=*/1, &scatter_clock,
-          [](int w) { return w; }, [] { return NoPhaseState{}; },
-          [&](int w, NoPhaseState&) {
-            buckets[static_cast<size_t>(w)] = ScatterWorkerPairs(
-                worker_pairs[static_cast<size_t>(w)], workers, &job_cancel);
-          },
-          [](NoPhaseState&) {}, trace, "phase-dedup-scatter",
-          "dedup-scatter-task", job_token, &measured_dedup);
-      if (!st.ok()) return st;
-    }
+    PASJOIN_RETURN_NOT_OK(RunSlotPhase(
+        &job, Phase::kDedupScatter, &scatter_clock, by_worker, &buckets,
+        [&](int w, const spatial::KernelCancellation* cancel) {
+          return ScatterWorkerPairs(worker_pairs[static_cast<size_t>(w)],
+                                    workers, cancel);
+        },
+        &measured_dedup));
     // Pair bytes crossing workers count as shuffle traffic.
     AccumulateDedupShuffle(buckets, workers, reg);
-    std::vector<std::vector<ResultPair>> unique_pairs(
-        static_cast<size_t>(workers));
-    std::vector<uint64_t> unique_counts(static_cast<size_t>(workers), 0);
-    {
-      Status st = RunStealPhase(
-          &pool, workers, /*grain=*/1, &dedup_clock,
-          [](int w) { return w; }, [] { return NoPhaseState{}; },
-          [&](int w, NoPhaseState&) {
-            DedupMergeOutput out = MergeDedupBucket(
-                buckets, w, workers, options.collect_results, &job_cancel);
-            unique_pairs[static_cast<size_t>(w)] = std::move(out.unique);
-            unique_counts[static_cast<size_t>(w)] = out.count;
-          },
-          [](NoPhaseState&) {}, trace, "phase-dedup-merge",
-          "dedup-merge-task", job_token, &measured_dedup);
-      if (!st.ok()) return st;
-    }
-    m.dedup_seconds = scatter_clock.Makespan() + dedup_clock.Makespan();
+    std::vector<DedupMergeOutput> merged(static_cast<size_t>(workers));
+    PhaseClock merge_clock(workers);
+    PASJOIN_RETURN_NOT_OK(RunSlotPhase(
+        &job, Phase::kDedupMerge, &merge_clock, by_worker, &merged,
+        [&](int w, const spatial::KernelCancellation* cancel) {
+          return MergeDedupBucket(buckets, w, workers, options.collect_results,
+                                  cancel);
+        },
+        &measured_dedup));
+    m.dedup_seconds = scatter_clock.Makespan() + merge_clock.Makespan();
     uint64_t unique_total = 0;
-    for (int w = 0; w < workers; ++w) {
-      unique_total += unique_counts[static_cast<size_t>(w)];
+    for (DedupMergeOutput& out : merged) {
+      unique_total += out.count;
+      run.pairs.insert(run.pairs.end(), out.unique.begin(), out.unique.end());
     }
     reg->Set("results", unique_total);
-    if (options.collect_results) {
-      for (auto& v : unique_pairs) {
-        run.pairs.insert(run.pairs.end(), v.begin(), v.end());
-      }
-    }
   } else if (options.collect_results) {
     for (auto& v : worker_pairs) {
       run.pairs.insert(run.pairs.end(), v.begin(), v.end());
@@ -950,7 +1304,7 @@ Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
 
   // A cancel/deadline that fired after the last phase drained still turns
   // the run into an error — never publish results past a cancellation.
-  if (job_token.IsCancelled()) return job_token.ToStatus();
+  if (job.token.IsCancelled()) return job.token.ToStatus();
 
   m.construction_seconds = map_clock.Makespan() + regroup_clock.Makespan();
   m.join_seconds = join_clock.Makespan();
@@ -958,795 +1312,8 @@ Result<JoinRun> RunFastPath(const Dataset& r, const Dataset& s,
   m.measured_construction_seconds = measured_construction;
   m.measured_join_seconds = measured_join;
   m.measured_dedup_seconds = measured_dedup;
-  SnapshotCounters(*reg, &m);
-  m.wall_seconds = wall.ElapsedSeconds();
-  if (!options.deadline.unlimited()) {
-    m.deadline_slack_seconds = options.deadline.SecondsRemaining();
-  }
-  if (trace != nullptr) PublishMetricGauges(m, reg);
-  return run;
-}
-
-// ---------------------------------------------------------------------------
-// Fault-tolerant path: the recovery runner plus the recoverable phases.
-// ---------------------------------------------------------------------------
-
-/// Aggregated fault-tolerance counters of one job.
-struct FaultStats {
-  uint64_t failed = 0;
-  uint64_t retried = 0;
-  uint64_t speculated = 0;
-  uint64_t cancelled = 0;
-  double recovery_seconds = 0.0;
-};
-
-/// Per-attempt cancellation context handed to a task body: the attempt's
-/// token (fires on job cancellation, a sibling attempt's commit, or a
-/// watchdog stall verdict) and the heartbeat cell the body pulses from its
-/// batch loops. Bodies fold both into a spatial::KernelCancellation.
-struct TaskContext {
-  CancellationToken cancel;
-  std::atomic<uint64_t>* progress = nullptr;
-};
-
-/// What a task body returns: a commit closure that publishes the computed
-/// result into the phase's output slots. The runner calls it exactly once
-/// per task (first finisher wins), which keeps speculative execution
-/// duplicate-free. A body cut short by its token returns a closure over
-/// PARTIAL state — the runner never publishes a cancelled attempt.
-using PublishFn = std::function<void()>;
-using TaskBody = std::function<PublishFn(int task, const TaskContext& ctx)>;
-
-/// One recoverable phase execution:
-///   * every injected/real failure is retried (fresh attempt id, exponential
-///     backoff) until FaultOptions::max_retries is exhausted, at which point
-///     the phase aborts with kResourceExhausted;
-///   * the configured worker loss fails the worker's first attempts, and its
-///     re-executions (like all post-loss work of that worker) are attributed
-///     to the deterministic failover neighbor (lost + 1) % workers;
-///   * once enough tasks committed, any task running longer than
-///     straggler_multiplier x the median committed time gets one speculative
-///     backup; whichever attempt finishes first commits (the commit-once
-///     publishing protocol lives in the `publishing`/`committed` bits of
-///     TaskState, all guarded by `mu_`).
-/// All in-flight attempts are drained before Run() returns, so phase-local
-/// state owned by the caller stays valid.
-///
-/// The retry/speculation bookkeeping shared between the driver loop and the
-/// pool attempts is held in PASJOIN_GUARDED_BY(mu_) members; mu_ ranks
-/// kEnginePhaseState — the outermost engine lock, held while submitting to
-/// the thread pool (lockrank::kThreadPool ranks above it).
-class RecoveringPhaseRunner {
- public:
-  RecoveringPhaseRunner(ThreadPool* pool, Phase phase, int count,
-                        PhaseClock* clock,
-                        const std::function<int(int)>& owner_of,
-                        const FaultInjector& injector, bool lose_here,
-                        bool lost_active, int survivor, FaultStats* stats,
-                        obs::TraceRecorder* trace, const char* task_name,
-                        const CancellationToken& job_token, Watchdog* watchdog,
-                        const TaskBody& body)
-      : pool_(pool),
-        phase_(phase),
-        count_(count),
-        clock_(clock),
-        owner_of_(owner_of),
-        injector_(injector),
-        lose_here_(lose_here),
-        lost_active_(lost_active),
-        lost_(injector.lost_worker()),
-        survivor_(survivor),
-        stats_(stats),
-        trace_(trace),
-        task_name_(task_name),
-        job_token_(job_token),
-        watchdog_(watchdog),
-        body_(body) {
-    states_.resize(static_cast<size_t>(count));
-  }
-
-  /// Drives the phase to completion (or retry-budget exhaustion).
-  Status Run() PASJOIN_EXCLUDES(mu_) {
-    const FaultOptions& fo = injector_.options();
-    MutexLock lock(&mu_);
-    for (int t = 0; t < count_; ++t) Launch(t, 0, 0.0, /*is_retry=*/false);
-
-    while (committed_count_ < count_) {
-      // 0. Job-level cancellation (external token, deadline): stop driving,
-      //    adopt the token's status, drain below. In-flight attempts see
-      //    the same signal through their linked heartbeat tokens.
-      if (job_token_.IsCancelled()) {
-        aborted_ = true;
-        failure_ = job_token_.ToStatus();
-        break;
-      }
-
-      // 1. Retry newly failed tasks (or give up once the budget is spent).
-      for (int t = 0; t < count_; ++t) {
-        TaskState& st = states_[static_cast<size_t>(t)];
-        if (st.committed || st.failures == st.handled_failures) continue;
-        if (st.running > 0) continue;  // a live attempt may still succeed
-        if (st.failures > fo.max_retries) {
-          failure_ = Status::ResourceExhausted(
-              "task " + std::to_string(t) + " of phase " + PhaseName(phase_) +
-              " failed " + std::to_string(st.failures) +
-              " time(s), retry budget (" + std::to_string(fo.max_retries) +
-              ") exhausted; last error: " + st.last_error);
-          aborted_ = true;
-          break;
-        }
-        const int retry_index = st.failures;  // 1-based
-        const double backoff_seconds =
-            fo.backoff_base_ms *
-            std::pow(fo.backoff_multiplier, retry_index - 1) / 1000.0;
-        st.handled_failures = st.failures;
-        st.started_at = -1.0;  // re-arm the speculation timer
-        retried_++;
-        FaultInstant(trace_, "fault-retry", obs::kDriverTrack, "task", t);
-        Launch(t, st.attempts, backoff_seconds, /*is_retry=*/true);
-      }
-      if (aborted_) break;
-
-      // 2. Speculative execution: back up tasks that exceed the threshold.
-      if (fo.speculation && !committed_durations_.empty()) {
-        const size_t min_samples =
-            std::max<size_t>(3, static_cast<size_t>(count_) / 4);
-        if (committed_durations_.size() >= min_samples) {
-          std::vector<double> durations = committed_durations_;
-          const size_t mid = durations.size() / 2;
-          std::nth_element(durations.begin(),
-                           durations.begin() + static_cast<std::ptrdiff_t>(mid),
-                           durations.end());
-          const double median = durations[mid];
-          const double threshold =
-              std::max(fo.straggler_multiplier * median, 1e-3);
-          const double now = phase_watch_.ElapsedSeconds();
-          for (int t = 0; t < count_; ++t) {
-            TaskState& st = states_[static_cast<size_t>(t)];
-            if (st.committed || st.speculated || st.running == 0) continue;
-            if (st.failures != st.handled_failures) continue;
-            if (st.started_at < 0.0 || now - st.started_at <= threshold) {
-              continue;
-            }
-            st.speculated = true;
-            speculated_++;
-            FaultInstant(trace_, "fault-speculate", obs::kDriverTrack, "task",
-                         t);
-            Launch(t, st.attempts, 0.0, /*is_retry=*/false);
-          }
-        }
-      }
-      cv_.WaitFor(&mu_, std::chrono::microseconds(500));
-    }
-    // Drain every in-flight attempt before phase-local state goes away.
-    while (running_total_ != 0) cv_.Wait(&mu_);
-
-    stats_->failed += failed_;
-    stats_->retried += retried_;
-    stats_->speculated += speculated_;
-    stats_->cancelled += cancelled_;
-    stats_->recovery_seconds += recovery_seconds_;
-    if (aborted_) return failure_;
-    return Status::OK();
-  }
-
- private:
-  struct TaskState {
-    bool committed = false;
-    bool publishing = false;
-    int running = 0;
-    int attempts = 0;
-    int failures = 0;
-    int handled_failures = 0;
-    bool speculated = false;
-    /// Seconds since phase start at which the oldest live attempt began
-    /// executing (-1 while queued); drives the speculation threshold.
-    double started_at = -1.0;
-    std::string last_error;
-    /// Heartbeats of currently-executing attempts of this task. The winner
-    /// cancels the other entries after committing (speculation losers stop
-    /// at their next poll instead of running to completion).
-    std::vector<std::shared_ptr<TaskHeartbeat>> live;
-  };
-
-  /// Drops `hb` from `st.live` (no-op for null / already-removed).
-  static void RemoveLive(TaskState& st,
-                         const std::shared_ptr<TaskHeartbeat>& hb) {
-    if (hb == nullptr) return;
-    st.live.erase(std::remove(st.live.begin(), st.live.end(), hb),
-                  st.live.end());
-  }
-
-  /// Logical worker an attempt of `task` is attributed to (the failover
-  /// neighbor once the owner has been lost).
-  int Attribution(int task) const {
-    const int w = owner_of_(task);
-    if (lost_active_ && w == lost_ && survivor_ >= 0) return survivor_;
-    return w;
-  }
-
-  /// Launches one attempt on the pool.
-  void Launch(int task, int attempt, double backoff_seconds, bool is_retry)
-      PASJOIN_REQUIRES(mu_) {
-    TaskState& st = states_[static_cast<size_t>(task)];
-    st.attempts++;
-    st.running++;
-    running_total_++;
-    pool_->Submit([this, task, attempt, backoff_seconds, is_retry] {
-      RunAttempt(task, attempt, backoff_seconds, is_retry);
-    });
-  }
-
-  /// Executes one attempt on a pool thread.
-  void RunAttempt(int task, int attempt, double backoff_seconds, bool is_retry)
-      PASJOIN_EXCLUDES(mu_) {
-    if (backoff_seconds > 0.0) {
-      FaultInstant(trace_, "fault-backoff", obs::kDriverTrack, "task", task);
-      // Interruptible backoff: a job-level cancel wakes the sleeper instead
-      // of letting it burn the remaining backoff.
-      if (job_token_.WaitForCancellation(backoff_seconds)) {
-        AbandonAttempt(task, nullptr);
-        return;
-      }
-    }
-    if (job_token_.IsCancelled()) {
-      // Dequeued after a job cancel (or deadline): never start the body.
-      AbandonAttempt(task, nullptr);
-      return;
-    }
-    std::shared_ptr<TaskHeartbeat> heartbeat;
-    {
-      MutexLock lock(&mu_);
-      TaskState& ts = states_[static_cast<size_t>(task)];
-      if (ts.committed) {
-        // A queued backup whose original already won: nothing to do.
-        FinishAttempt(task);
-        return;
-      }
-      if (ts.started_at < 0.0) ts.started_at = phase_watch_.ElapsedSeconds();
-      heartbeat =
-          std::make_shared<TaskHeartbeat>(job_token_, task_name_, task);
-      ts.live.push_back(heartbeat);
-    }
-    // Register only now that the attempt is actually executing — queue wait
-    // must not count against the watchdog's quiet period. Outside mu_: the
-    // registry lock ranks below the phase-state lock.
-    if (watchdog_ != nullptr) watchdog_->Register(heartbeat);
-    // The attempt span wraps the same region as the attempt stopwatch and
-    // lands on the attributed worker's track; kernel spans opened inside
-    // `body` inherit the track. Failed and losing speculative attempts
-    // record committed=0, so the trace rollup can count only the attempts
-    // the PhaseClock counted.
-    const int attributed = Attribution(task);
-    obs::ScopedTrack track_scope(trace_, attributed);
-    obs::ScopedSpan attempt_span(trace_, task_name_, "task");
-    attempt_span.AddArg("task", task);
-    attempt_span.AddArg("attempt", attempt);
-    Stopwatch attempt_watch;
-    bool failed = false;
-    std::string error;
-    PublishFn publish;
-    if (lose_here_ && attempt == 0 && owner_of_(task) == lost_) {
-      failed = true;
-      error = "logical worker " + std::to_string(lost_) + " lost";
-    } else if (injector_.ShouldFail(phase_, task, attempt)) {
-      failed = true;
-      error = "injected fault";
-    } else {
-      if (injector_.IsStraggler(phase_, task, attempt)) {
-        // Interruptible straggler delay: wakes early when the attempt's
-        // token fires — a job cancel, a sibling attempt's commit, or the
-        // watchdog's stall verdict (the heartbeat stays flat while the
-        // straggler sleeps, which is exactly the stall signature).
-        const bool token_fired = heartbeat->token().WaitForCancellation(
-            injector_.StragglerDelaySeconds());
-        bool committed_while_sleeping = false;
-        {
-          MutexLock lock(&mu_);
-          committed_while_sleeping =
-              states_[static_cast<size_t>(task)].committed;
-        }
-        if (committed_while_sleeping) {
-          // A speculative backup finished while this straggler slept.
-          attempt_span.AddArg("committed", 0);
-          RetireAttempt(task, heartbeat);
-          return;
-        }
-        if (token_fired) {
-          if (job_token_.IsCancelled()) {
-            attempt_span.AddArg("committed", 0);
-            AbandonAttempt(task, heartbeat);
-            return;
-          }
-          // Watchdog stall verdict: treat as a task failure so the normal
-          // recovery machinery re-executes from lineage (stragglers only
-          // fire on attempt 0, so the retry runs clean).
-          failed = true;
-          error = heartbeat->token().ToStatus().message();
-        }
-      }
-      if (!failed) {
-        TaskContext ctx;
-        ctx.cancel = heartbeat->token();
-        ctx.progress = heartbeat->cell();
-        try {
-          publish = body_(task, ctx);
-        } catch (const std::exception& e) {
-          failed = true;
-          error = e.what();
-        } catch (...) {
-          failed = true;
-          error = "unknown exception";
-        }
-        if (!failed && heartbeat->token().IsCancelled()) {
-          // The token fired mid-body and cut it short: whatever closure the
-          // body returned covers partial state and must never run.
-          publish = nullptr;
-          if (job_token_.IsCancelled()) {
-            attempt_span.AddArg("committed", 0);
-            AbandonAttempt(task, heartbeat);
-            return;
-          }
-          MutexLock lock(&mu_);
-          if (!states_[static_cast<size_t>(task)].committed) {
-            // Not a sibling commit, so it was the watchdog: fail -> retry.
-            failed = true;
-            error = heartbeat->token().ToStatus().message();
-          }
-        }
-      }
-    }
-    bool winner = false;
-    if (!failed) {
-      MutexLock lock(&mu_);
-      TaskState& ts = states_[static_cast<size_t>(task)];
-      if (!ts.committed && !ts.publishing) {
-        ts.publishing = true;
-        winner = true;
-      }
-    }
-    if (winner) {
-      if (publish) publish();
-      clock_->Add(attributed, attempt_watch.ElapsedSeconds());
-    }
-    attempt_span.AddArg("committed", winner ? 1 : 0);
-    if (failed) {
-      FaultInstant(trace_, "fault-failure", attributed, "task", task);
-    }
-    std::vector<std::shared_ptr<TaskHeartbeat>> siblings;
-    // FinishAttempt() below wakes the driver loop, which may return from
-    // the phase and destroy this runner before this thread executes
-    // another instruction — everything after the block must touch only
-    // locals and objects that outlive the pool workers (the watchdog, the
-    // heartbeats' shared state), never `this`.
-    Watchdog* const watchdog = watchdog_;
-    {
-      MutexLock lock(&mu_);
-      TaskState& ts = states_[static_cast<size_t>(task)];
-      if (winner) {
-        ts.committed = true;
-        committed_count_++;
-        committed_durations_.push_back(attempt_watch.ElapsedSeconds());
-        for (const std::shared_ptr<TaskHeartbeat>& other : ts.live) {
-          if (other != heartbeat) siblings.push_back(other);
-        }
-      }
-      if (failed) {
-        ts.failures++;
-        ts.last_error = error;
-        failed_++;
-      }
-      if (is_retry) {
-        recovery_seconds_ += backoff_seconds + attempt_watch.ElapsedSeconds();
-      }
-      RemoveLive(ts, heartbeat);
-      FinishAttempt(task);
-    }
-    if (watchdog != nullptr) watchdog->Unregister(heartbeat);
-    // The winner interrupts still-running sibling attempts (speculation
-    // losers, or the straggler a backup beat): each stops at its next poll
-    // instead of finishing work whose result can never commit. Cancelled
-    // outside every lock (rank kCancellationState nests with nothing).
-    for (const std::shared_ptr<TaskHeartbeat>& other : siblings) {
-      other->Cancel(StatusCode::kCancelled, "sibling attempt committed");
-    }
-  }
-
-  /// Retires an attempt that has nothing left to do (its task committed).
-  void RetireAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat)
-      PASJOIN_EXCLUDES(mu_) {
-    // The runner may be destroyed the moment FinishAttempt() wakes the
-    // driver; only locals below the block.
-    Watchdog* const watchdog = watchdog_;
-    {
-      MutexLock lock(&mu_);
-      RemoveLive(states_[static_cast<size_t>(task)], heartbeat);
-      FinishAttempt(task);
-    }
-    if (watchdog != nullptr && heartbeat != nullptr) {
-      watchdog->Unregister(heartbeat);
-    }
-  }
-
-  /// Retires an attempt abandoned because the JOB was cancelled. Each
-  /// abandonment is counted once in tasks_cancelled and traced as one
-  /// "cancel-abandon" instant — trace_summary.py reconciles the two.
-  void AbandonAttempt(int task, const std::shared_ptr<TaskHeartbeat>& heartbeat)
-      PASJOIN_EXCLUDES(mu_) {
-    // The runner may be destroyed the moment FinishAttempt() wakes the
-    // driver; only locals below the block. The recorder and the watchdog
-    // are engine-scope objects that outlive every pool worker.
-    Watchdog* const watchdog = watchdog_;
-    obs::TraceRecorder* const trace = trace_;
-    {
-      MutexLock lock(&mu_);
-      cancelled_++;
-      RemoveLive(states_[static_cast<size_t>(task)], heartbeat);
-      FinishAttempt(task);
-    }
-    if (watchdog != nullptr && heartbeat != nullptr) {
-      watchdog->Unregister(heartbeat);
-    }
-    CancelInstant(trace, "cancel-abandon", obs::kDriverTrack, "task", task);
-  }
-
-  /// Retires one attempt and wakes the driver loop.
-  void FinishAttempt(int task) PASJOIN_REQUIRES(mu_) {
-    states_[static_cast<size_t>(task)].running--;
-    running_total_--;
-    cv_.NotifyAll();
-  }
-
-  ThreadPool* const pool_;
-  const Phase phase_;
-  const int count_;
-  PhaseClock* const clock_;
-  const std::function<int(int)>& owner_of_;
-  const FaultInjector& injector_;
-  const bool lose_here_;
-  const bool lost_active_;
-  const int lost_;
-  const int survivor_;
-  FaultStats* const stats_;
-  obs::TraceRecorder* const trace_;
-  const char* const task_name_;
-  const CancellationToken job_token_;
-  Watchdog* const watchdog_;
-  const TaskBody& body_;
-  const Stopwatch phase_watch_;
-
-  Mutex mu_{"RecoveringPhaseRunner::mu_", lockrank::kEnginePhaseState};
-  CondVar cv_;
-  std::vector<TaskState> states_ PASJOIN_GUARDED_BY(mu_);
-  int committed_count_ PASJOIN_GUARDED_BY(mu_) = 0;
-  int running_total_ PASJOIN_GUARDED_BY(mu_) = 0;
-  bool aborted_ PASJOIN_GUARDED_BY(mu_) = false;
-  Status failure_ PASJOIN_GUARDED_BY(mu_);
-  std::vector<double> committed_durations_ PASJOIN_GUARDED_BY(mu_);
-  uint64_t failed_ PASJOIN_GUARDED_BY(mu_) = 0;
-  uint64_t retried_ PASJOIN_GUARDED_BY(mu_) = 0;
-  uint64_t speculated_ PASJOIN_GUARDED_BY(mu_) = 0;
-  uint64_t cancelled_ PASJOIN_GUARDED_BY(mu_) = 0;
-  double recovery_seconds_ PASJOIN_GUARDED_BY(mu_) = 0.0;
-};
-
-/// Executes `count` tasks of `phase` through a RecoveringPhaseRunner,
-/// recording the phase span and the (one-shot) worker-loss transition. The
-/// phase's measured wall time is added to `*measured_seconds` (null skips
-/// the accounting), mirroring the fast path's RunStealPhase.
-Status RunRecoveringPhase(ThreadPool* pool, Phase phase, int count, int workers,
-                          PhaseClock* clock,
-                          const std::function<int(int)>& owner_of,
-                          const FaultInjector& injector, bool* worker_lost,
-                          FaultStats* stats, obs::TraceRecorder* trace,
-                          const char* phase_name, const char* task_name,
-                          const CancellationToken& job_token,
-                          Watchdog* watchdog, const TaskBody& body,
-                          double* measured_seconds) {
-  if (count <= 0) return Status::OK();
-  obs::ScopedSpan phase_span(trace, phase_name, "phase");
-  phase_span.SetTrack(obs::kDriverTrack);
-  phase_span.AddArg("tasks", count);
-  Stopwatch phase_wall;
-  const bool lose_here = injector.LosesWorkerIn(phase);
-  if (lose_here) {
-    *worker_lost = true;
-    FaultInstant(trace, "fault-worker-lost", obs::kDriverTrack, "worker",
-                 injector.lost_worker());
-  }
-  const bool lost_active = *worker_lost;
-  const int lost = injector.lost_worker();
-  const int survivor =
-      (lost >= 0 && workers >= 2) ? (lost + 1) % workers : -1;
-  RecoveringPhaseRunner runner(pool, phase, count, clock, owner_of, injector,
-                               lose_here, lost_active, survivor, stats, trace,
-                               task_name, job_token, watchdog, body);
-  Status st = runner.Run();
-  if (measured_seconds != nullptr) {
-    *measured_seconds += phase_wall.ElapsedSeconds();
-  }
-  return st;
-}
-
-/// One worker's regrouped partition buffers plus the lineage to rebuild
-/// them. The slot mutex serializes concurrent attempts of the same join
-/// task (the local join may reorder buffers) and guards lineage-based store
-/// rebuilds; it ranks kEngineWorkerStore, above the phase-state lock and
-/// below the rebuild-stats lock it acquires while holding.
-struct WorkerStoreSlot {
-  Mutex mu{"WorkerStoreSlot::mu", lockrank::kEngineWorkerStore};
-  Store store PASJOIN_GUARDED_BY(mu);
-  WorkerLineage lineage PASJOIN_GUARDED_BY(mu);
-  bool valid PASJOIN_GUARDED_BY(mu) = false;
-};
-
-/// Aggregate time spent rebuilding lost worker stores from lineage,
-/// accumulated from join attempts while they hold their slot lock.
-struct RebuildStats {
-  Mutex mu{"RebuildStats::mu", lockrank::kEngineRebuildStats};
-  double seconds PASJOIN_GUARDED_BY(mu) = 0.0;
-};
-
-Result<JoinRun> RunFaultTolerant(const Dataset& r, const Dataset& s,
-                                 const AssignFn& assign, const OwnerFn& owner,
-                                 const EngineOptions& options,
-                                 const LocalJoinFn& local_join) {
-  const KernelDispatch kernel = ResolveKernel(options, local_join);
-  obs::TraceRecorder* const trace = options.trace;
-  obs::CounterRegistry local_registry;
-  obs::CounterRegistry* const reg =
-      trace != nullptr ? &trace->counters() : &local_registry;
-  reg->Clear();
-  const int workers = options.workers;
-  const int num_splits =
-      options.num_splits > 0 ? options.num_splits : 4 * workers;
-  const int physical = options.physical_threads > 0 ? options.physical_threads
-                                                    : ThreadPool::DefaultThreads();
-  // Destruction order matters: the pool is declared last so it drains its
-  // tasks first, then the watchdog thread joins, then the job source (which
-  // every attempt heartbeat links to) goes away.
-  CancellationSource job_source(options.cancel);
-  const CancellationToken job_token = job_source.token();
-  Watchdog watchdog(options.watchdog, options.deadline, &job_source, trace);
-  ThreadPool pool(physical);
-  FaultInjector injector(options.fault);
-  bool worker_lost = false;
-  FaultStats stats;
-  RebuildStats rebuild_stats;
-
-  // Targeted partition failures strike the join task of the owning worker.
-  for (int32_t part : options.fault.fail_partitions) {
-    injector.AddTargetedFailure(Phase::kJoin, owner(part));
-  }
-
-  JoinRun run;
-  JobMetrics& m = run.metrics;
-  m.workers = workers;
-  m.physical_threads = pool.num_threads();
-  Stopwatch wall;
-  double measured_construction = 0.0;
-  double measured_join = 0.0;
-  double measured_dedup = 0.0;
-
-  // ---------------------------------------------------------------- map ---
-  const int total_map_tasks = 2 * num_splits;
-  std::vector<MapTaskOutput> map_out(static_cast<size_t>(total_map_tasks));
-  PhaseClock map_clock(workers);
-  const std::function<int(int)> map_owner = [num_splits, workers](int task) {
-    return (task % num_splits) % workers;
-  };
-  {
-    const TaskBody body = [&](int task, const TaskContext& ctx) -> PublishFn {
-      const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-      auto out = std::make_shared<MapTaskOutput>(ComputeMapTask(
-          task, r, s, assign, owner, options, num_splits, workers, &kc));
-      return [out, task, &map_out] {
-        map_out[static_cast<size_t>(task)] = std::move(*out);
-      };
-    };
-    Status st = RunRecoveringPhase(&pool, Phase::kMap, total_map_tasks,
-                                   workers, &map_clock, map_owner, injector,
-                                   &worker_lost, &stats, trace, "phase-map",
-                                   "map-task", job_token, &watchdog, body,
-                                   &measured_construction);
-    if (!st.ok()) return st;
-  }
-  AccumulateMapMetrics(map_out, num_splits, reg);
-
-  // ------------------------------------------------------------ regroup ---
-  // The map outputs are the retained split data every re-execution recovers
-  // from, so (unlike the fast path) they are copied, not moved, and stay
-  // alive until the join phase has fully committed.
-  std::vector<WorkerStoreSlot> slots(static_cast<size_t>(workers));
-  PhaseClock regroup_clock(workers);
-  const std::function<int(int)> identity = [](int w) { return w; };
-  {
-    const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-      const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-      auto store = std::make_shared<Store>();
-      auto lineage = std::make_shared<WorkerLineage>();
-      BuildWorkerStoreRetained(w, map_out, store.get(), lineage.get(), &kc);
-      return [&, w, store, lineage] {
-        WorkerStoreSlot& slot = slots[static_cast<size_t>(w)];
-        MutexLock lock(&slot.mu);
-        slot.store = std::move(*store);
-        slot.lineage = std::move(*lineage);
-        slot.valid = true;
-      };
-    };
-    Status st = RunRecoveringPhase(&pool, Phase::kRegroup, workers, workers,
-                                   &regroup_clock, identity, injector,
-                                   &worker_lost, &stats, trace,
-                                   "phase-regroup", "regroup-task", job_token,
-                                   &watchdog, body, &measured_construction);
-    if (!st.ok()) return st;
-  }
-
-  // A worker lost during the join phase takes its in-memory partition
-  // buffers with it; recovery must rebuild them from lineage.
-  if (injector.LosesWorkerIn(Phase::kJoin)) {
-    WorkerStoreSlot& slot = slots[static_cast<size_t>(injector.lost_worker())];
-    MutexLock lock(&slot.mu);
-    slot.store.clear();
-    slot.valid = false;
-  }
-
-  // --------------------------------------------------------------- join ---
-  const bool keep_pairs = options.collect_results || options.deduplicate;
-  std::vector<std::vector<ResultPair>> worker_pairs(
-      static_cast<size_t>(workers));
-  std::vector<spatial::JoinCounters> worker_counters(
-      static_cast<size_t>(workers));
-  std::vector<uint64_t> worker_partitions(static_cast<size_t>(workers), 0);
-  std::vector<uint64_t> worker_filtered(static_cast<size_t>(workers), 0);
-  std::vector<spatial::KernelTimings> worker_timings(
-      static_cast<size_t>(workers));
-  PhaseClock join_clock(workers);
-  {
-    const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-      const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-      auto out = std::make_shared<WorkerJoinOutput>();
-      {
-        WorkerStoreSlot& slot = slots[static_cast<size_t>(w)];
-        MutexLock lock(&slot.mu);
-        if (!slot.valid) {
-          obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
-          rebuild_span.AddArg("worker", w);
-          Stopwatch rebuild;
-          slot.store = RebuildWorkerStore(w, map_out, slot.lineage);
-          slot.valid = true;
-          MutexLock stats_lock(&rebuild_stats.mu);
-          rebuild_stats.seconds += rebuild.ElapsedSeconds();
-        }
-        *out = JoinWorkerStore(&slot.store, options, kernel, keep_pairs,
-                               trace, &kc);
-      }
-      return [&, w, out] {
-        worker_pairs[static_cast<size_t>(w)] = std::move(out->pairs);
-        worker_counters[static_cast<size_t>(w)] = out->counters;
-        worker_partitions[static_cast<size_t>(w)] = out->partitions;
-        worker_filtered[static_cast<size_t>(w)] = out->filtered;
-        worker_timings[static_cast<size_t>(w)] = out->timings;
-      };
-    };
-    Status st = RunRecoveringPhase(&pool, Phase::kJoin, workers, workers,
-                                   &join_clock, identity, injector,
-                                   &worker_lost, &stats, trace, "phase-join",
-                                   "join-task", job_token, &watchdog, body,
-                                   &measured_join);
-    if (!st.ok()) return st;
-  }
-  m.local_kernel = kernel.name;
-  {
-    uint64_t candidates = 0;
-    uint64_t results = 0;
-    uint64_t partitions = 0;
-    for (int w = 0; w < workers; ++w) {
-      candidates += worker_counters[static_cast<size_t>(w)].candidates;
-      results += worker_counters[static_cast<size_t>(w)].results -
-                 worker_filtered[static_cast<size_t>(w)];
-      partitions += worker_partitions[static_cast<size_t>(w)];
-      m.kernel_sort_seconds +=
-          worker_timings[static_cast<size_t>(w)].sort_seconds;
-      m.kernel_sweep_seconds +=
-          worker_timings[static_cast<size_t>(w)].sweep_seconds;
-      m.kernel_emit_seconds +=
-          worker_timings[static_cast<size_t>(w)].emit_seconds;
-    }
-    reg->Add("candidates", candidates);
-    reg->Add("results", results);
-    reg->Add("partitions_joined", partitions);
-  }
-  map_out.clear();
-  map_out.shrink_to_fit();
-  for (WorkerStoreSlot& slot : slots) {
-    MutexLock lock(&slot.mu);
-    slot.store.clear();
-  }
-
-  // -------------------------------------------------------------- dedup ---
-  PhaseClock dedup_clock(workers);
-  if (options.deduplicate) {
-    std::vector<std::vector<std::vector<ResultPair>>> buckets(
-        static_cast<size_t>(workers));
-    PhaseClock scatter_clock(workers);
-    {
-      const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-        const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-        auto out = std::make_shared<std::vector<std::vector<ResultPair>>>(
-            ScatterWorkerPairs(worker_pairs[static_cast<size_t>(w)], workers,
-                               &kc));
-        return [&, w, out] {
-          buckets[static_cast<size_t>(w)] = std::move(*out);
-        };
-      };
-      Status st = RunRecoveringPhase(&pool, Phase::kDedupScatter, workers,
-                                     workers, &scatter_clock, identity,
-                                     injector, &worker_lost, &stats, trace,
-                                     "phase-dedup-scatter",
-                                     "dedup-scatter-task", job_token,
-                                     &watchdog, body, &measured_dedup);
-      if (!st.ok()) return st;
-    }
-    AccumulateDedupShuffle(buckets, workers, reg);
-    std::vector<std::vector<ResultPair>> unique_pairs(
-        static_cast<size_t>(workers));
-    std::vector<uint64_t> unique_counts(static_cast<size_t>(workers), 0);
-    {
-      const TaskBody body = [&](int w, const TaskContext& ctx) -> PublishFn {
-        const spatial::KernelCancellation kc{&ctx.cancel, ctx.progress};
-        auto out = std::make_shared<DedupMergeOutput>(MergeDedupBucket(
-            buckets, w, workers, options.collect_results, &kc));
-        return [&, w, out] {
-          unique_pairs[static_cast<size_t>(w)] = std::move(out->unique);
-          unique_counts[static_cast<size_t>(w)] = out->count;
-        };
-      };
-      Status st = RunRecoveringPhase(&pool, Phase::kDedupMerge, workers,
-                                     workers, &dedup_clock, identity, injector,
-                                     &worker_lost, &stats, trace,
-                                     "phase-dedup-merge", "dedup-merge-task",
-                                     job_token, &watchdog, body,
-                                     &measured_dedup);
-      if (!st.ok()) return st;
-    }
-    m.dedup_seconds = scatter_clock.Makespan() + dedup_clock.Makespan();
-    uint64_t unique_total = 0;
-    for (int w = 0; w < workers; ++w) {
-      unique_total += unique_counts[static_cast<size_t>(w)];
-    }
-    reg->Set("results", unique_total);
-    if (options.collect_results) {
-      for (auto& v : unique_pairs) {
-        run.pairs.insert(run.pairs.end(), v.begin(), v.end());
-      }
-    }
-  } else if (options.collect_results) {
-    for (auto& v : worker_pairs) {
-      run.pairs.insert(run.pairs.end(), v.begin(), v.end());
-    }
-  }
-
-  // A cancellation that fired after the last phase finished (e.g. the
-  // deadline expired during the single-threaded fold above) still aborts
-  // the job: nothing is ever published from a cancelled run.
-  if (job_token.IsCancelled()) return job_token.ToStatus();
-
-  m.construction_seconds = map_clock.Makespan() + regroup_clock.Makespan();
-  m.join_seconds = join_clock.Makespan();
-  m.worker_busy_join = join_clock.busy();
-  m.measured_construction_seconds = measured_construction;
-  m.measured_join_seconds = measured_join;
-  m.measured_dedup_seconds = measured_dedup;
-  reg->Add("tasks_failed", stats.failed);
-  reg->Add("tasks_retried", stats.retried);
-  reg->Add("tasks_speculated", stats.speculated);
-  reg->Add("tasks_cancelled", stats.cancelled);
-  reg->Add("watchdog_fires", watchdog.fires());
-  {
-    MutexLock lock(&rebuild_stats.mu);
-    m.recovery_seconds = stats.recovery_seconds + rebuild_stats.seconds;
-  }
+  if (recovering) reg->Add("watchdog_fires", watchdog.fires());
+  m.recovery_seconds = job.recovery_seconds;
   SnapshotCounters(*reg, &m);
   m.wall_seconds = wall.ElapsedSeconds();
   if (!options.deadline.unlimited()) {
@@ -1763,39 +1330,21 @@ Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
                                       const OwnerFn& owner,
                                       const EngineOptions& options,
                                       const LocalJoinFn& local_join) {
-  {
-    Status st = ValidateJoinInputs(r, s, options);
-    if (!st.ok()) return st;
-  }
+  PASJOIN_RETURN_NOT_OK(ValidateJoinInputs(r, s, options));
   if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
   if (options.deadline.HasExpired()) {
     return Status::DeadlineExceeded(
         "job deadline expired before execution started");
   }
-  if (options.fault.enabled) {
-    return RunFaultTolerant(r, s, assign, owner, options, local_join);
-  }
+  // With recovery on, task exceptions become failed attempts; whatever
+  // still escapes (recovery off, or the driver itself) becomes kInternal.
   try {
-    return RunFastPath(r, s, assign, owner, options, local_join);
+    return RunJob(r, s, assign, owner, options, local_join);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("engine task failed: ") + e.what());
   } catch (...) {
     return Status::Internal("engine task failed: unknown exception");
   }
-}
-
-JoinRun RunPartitionedJoin(const Dataset& r, const Dataset& s,
-                           const AssignFn& assign, const OwnerFn& owner,
-                           const EngineOptions& options,
-                           const LocalJoinFn& local_join) {
-  Result<JoinRun> result =
-      TryRunPartitionedJoin(r, s, assign, owner, options, local_join);
-  if (!result.ok()) {
-    std::fprintf(stderr, "RunPartitionedJoin: %s\n",
-                 result.status().ToString().c_str());
-  }
-  PASJOIN_CHECK(result.ok());
-  return result.MoveValue();
 }
 
 }  // namespace pasjoin::exec

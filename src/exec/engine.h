@@ -18,12 +18,12 @@
 // simulated duration is the makespan (max per-worker busy time). This makes
 // the paper's scalability experiments meaningful on any host (DESIGN.md §2).
 //
-// Fault tolerance: TryRunPartitionedJoin executes the same dataflow with the
-// recovery semantics of the Spark substrate the paper runs on — lineage-based
-// task retry with exponential backoff, worker-loss recovery from retained
-// split data, and speculative re-execution of stragglers. The model, its
-// guarantees, and the FaultOptions knobs are documented in
-// docs/FAULT_TOLERANCE.md.
+// Fault tolerance: with FaultOptions::enabled the same phases run with the
+// recovery semantics of the Spark substrate the paper runs on, as a policy
+// of the one work-stealing phase runner — task retry with exponential
+// backoff, per-partition lineage rebuild after a worker loss, and
+// speculative backups of stragglers. The model, its guarantees, and the
+// FaultOptions knobs are documented in docs/FAULT_TOLERANCE.md.
 #ifndef PASJOIN_EXEC_ENGINE_H_
 #define PASJOIN_EXEC_ENGINE_H_
 
@@ -108,7 +108,8 @@ struct EngineOptions {
   /// the cache-friendly SoA sweep with batched emission.
   spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Fault injection + recovery policy (docs/FAULT_TOLERANCE.md). Ignored
-  /// unless fault.enabled; the default keeps the zero-overhead fast path.
+  /// unless fault.enabled; the default runs every task exactly once with no
+  /// recovery state.
   FaultOptions fault;
   /// Declared data-space bounds. When set (positive area), every input
   /// point must lie inside (boundary inclusive) or the run is rejected with
@@ -150,9 +151,8 @@ struct JoinRun {
   std::vector<ResultPair> pairs;
 };
 
-/// Runs the map/shuffle/join dataflow with fault tolerance. `assign` decides
-/// replication; `owner` decides placement; `local_join` computes each
-/// partition's join.
+/// Runs the map/shuffle/join dataflow. `assign` decides replication;
+/// `owner` decides placement; `local_join` computes each partition's join.
 ///
 /// Inputs are validated (finite coordinates, eps > 0, workers > 0, coherent
 /// FaultOptions) and rejected with kInvalidArgument. When fault injection is
@@ -161,7 +161,7 @@ struct JoinRun {
 /// partitions are rebuilt on survivors from their lineage, and straggling
 /// tasks are backed up speculatively; the recovered result is identical to a
 /// fault-free run. Returns kResourceExhausted when a task exhausts its retry
-/// budget and kInternal when a task of the fast path throws — this function
+/// budget and kInternal when a task throws with recovery off — this function
 /// never throws from the engine itself. Cancellation (options.cancel) and
 /// deadlines (options.deadline) surface as kCancelled / kDeadlineExceeded;
 /// in every error case nothing is published to the returned JoinRun — a
@@ -176,13 +176,6 @@ struct JoinRun {
     const Dataset& r, const Dataset& s, const AssignFn& assign,
     const OwnerFn& owner, const EngineOptions& options,
     const LocalJoinFn& local_join = LocalJoinFn());
-
-/// Legacy convenience wrapper over TryRunPartitionedJoin: aborts the process
-/// (PASJOIN_CHECK) on any error. Prefer the Try variant in new code.
-JoinRun RunPartitionedJoin(const Dataset& r, const Dataset& s,
-                           const AssignFn& assign, const OwnerFn& owner,
-                           const EngineOptions& options,
-                           const LocalJoinFn& local_join = LocalJoinFn());
 
 }  // namespace pasjoin::exec
 

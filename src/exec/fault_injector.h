@@ -40,8 +40,11 @@ const char* PhaseName(Phase phase);
 /// Configuration of the fault-tolerance subsystem (failure injection plus
 /// the recovery policy applied by the engine).
 struct FaultOptions {
-  /// Master switch. When false the engine takes its zero-overhead fast path
-  /// and none of the remaining fields are consulted.
+  /// Master switch of the recovery policy of the engine's phase runner.
+  /// When true every task keeps attempt state, the map outputs are retained
+  /// as lineage, and the fields below apply. When false every task runs
+  /// exactly once, no attempt state, heartbeat or retained input is
+  /// allocated, and none of the remaining fields are consulted.
   bool enabled = false;
 
   /// Seed of every injection decision. Decisions are a deterministic
@@ -58,9 +61,11 @@ struct FaultOptions {
   /// Applies to both dedup sub-phases (scatter and merge).
   double dedup_failure_p = 0.0;
 
-  /// Partitions whose owning join task fails deterministically on its first
-  /// attempt (targeted, phase=kJoin). Lets tests kill a specific partition's
-  /// task without touching the probabilistic machinery.
+  /// Partitions whose own join task fails deterministically on its first
+  /// attempt (targeted, phase=kJoin); the owner's other partitions are
+  /// untouched. Partitions without a join task (an empty side) are ignored.
+  /// Lets tests kill a specific partition's task without touching the
+  /// probabilistic machinery.
   std::vector<int32_t> fail_partitions;
 
   // --- recovery policy -----------------------------------------------------
@@ -110,8 +115,9 @@ struct FaultOptions {
 /// Concurrency: holds no pasjoin::Mutex by design — the const-after-setup
 /// contract makes query-path locking unnecessary. AddTargetedFailure must
 /// finish (driver thread, before the pool starts executing) before any
-/// concurrent ShouldFail/IsStraggler query; the engine enforces this by
-/// registering targeted failures before the first RunRecoveringPhase.
+/// concurrent ShouldFail/IsStraggler query; the engine registers targeted
+/// failures on the driver thread between the regroup and join phases, when
+/// no runner is executing.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultOptions& options) : options_(options) {}

@@ -12,8 +12,8 @@
 // concurrently on different threads, so accumulation must be safe against
 // concurrent Add()s to one worker's cell. Two sanctioned ways in:
 //
-//   * Add(): takes the clock's mutex per call. Fine for coarse tasks (the
-//     fault-tolerant path commits once per attempt);
+//   * Add(): takes the clock's mutex per call. Fine for coarse tasks and
+//     callers outside a steal-phase runner;
 //   * Shard + Merge(): a thread-confined Shard accumulates without any
 //     synchronization and is folded into the clock with ONE lock
 //     acquisition at the end of the runner — the per-thread-accumulation

@@ -23,8 +23,7 @@ namespace pasjoin::exec {
 /// Fixed pool of worker threads executing submitted tasks FIFO.
 ///
 /// Concurrency: all queue/shutdown/error state is guarded by `mu_`
-/// (rank lockrank::kThreadPool — the engine's recovery runner holds its
-/// phase-state lock while calling Submit(), so this lock ranks above it).
+/// (rank lockrank::kThreadPool).
 class ThreadPool {
  public:
   /// Creates `num_threads` threads (>= 1).
@@ -69,9 +68,8 @@ class ThreadPool {
   /// sub-poll-interval precision by ThreadPoolCancelTest).
   ///
   /// Only for callers whose per-task completion accounting does not
-  /// outlive the drop: the engine's RecoveringPhaseRunner tracks every
-  /// attempt itself and must never use this (a dropped task would leak an
-  /// in-flight attempt record).
+  /// outlive the drop. The engine's phase runners qualify: a runner claims
+  /// work only once it executes, so a dropped runner holds no attempt.
   [[nodiscard]] Status Wait(const CancellationToken& cancel)
       PASJOIN_EXCLUDES(mu_);
 

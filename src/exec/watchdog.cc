@@ -9,28 +9,6 @@
 
 namespace pasjoin::exec {
 
-namespace {
-
-/// Records one instant cancellation event (category "cancel") with a single
-/// integer arg; tools/trace_summary.py --validate reconciles these against
-/// the watchdog_fires / tasks_cancelled counters.
-void CancelInstant(obs::TraceRecorder* trace, const char* name, int32_t track,
-                   const char* arg_name, int64_t arg_value) {
-  if (trace == nullptr) return;
-  obs::TraceEvent e;
-  e.name = name;
-  e.category = "cancel";
-  e.type = 'i';
-  e.start_ns = trace->NowNs();
-  e.track = track;
-  e.arg_names[0] = arg_name;
-  e.arg_values[0] = arg_value;
-  e.num_args = 1;
-  trace->Append(e);
-}
-
-}  // namespace
-
 Status WatchdogOptions::Validate() const {
   if (!std::isfinite(quiet_period_seconds) || quiet_period_seconds <= 0.0) {
     return Status::InvalidArgument(
@@ -97,10 +75,10 @@ void Watchdog::Loop() {
       if (remaining <= 0.0) {
         deadline_fired_ = true;
         if (job_source_->Cancel(StatusCode::kDeadlineExceeded,
-                                "job deadline exceeded")) {
-          CancelInstant(trace_, "deadline-exceeded", obs::kDriverTrack,
-                        "slack_us",
-                        static_cast<int64_t>(remaining * 1e6));
+                                "job deadline exceeded") &&
+            trace_ != nullptr) {
+          trace_->Instant("deadline-exceeded", "cancel", obs::kDriverTrack,
+                          "slack_us", static_cast<int64_t>(remaining * 1e6));
         }
       } else {
         // Clip the sleep so the deadline fires when it passes, not at the
@@ -128,9 +106,10 @@ void Watchdog::Loop() {
                            std::to_string(hb->task()) + " of " +
                            hb->phase_name() + " made no progress for " +
                            std::to_string(options_.quiet_period_seconds) +
-                           "s")) {
-          CancelInstant(trace_, "watchdog-fire", obs::kDriverTrack, "task",
-                        hb->task());
+                           "s") &&
+            trace_ != nullptr) {
+          trace_->Instant("watchdog-fire", "cancel", obs::kDriverTrack, "task",
+                          hb->task());
         }
       }
     }

@@ -15,12 +15,12 @@
 //     failure and re-executes it from lineage, which is what turns a hung
 //     attempt into a bounded retry instead of a hung job.
 //
-// Heartbeats are the progress signal: every attempt of the fault-tolerant
-// path owns a TaskHeartbeat whose counter the phase bodies bump from their
-// existing batch loops (tuples mapped, kernel emission batches, partitions
-// joined). Stall detection therefore only runs where recovery can act on a
-// cancellation — the fault-tolerant path; on the fast path the watchdog
-// enforces the deadline only.
+// Heartbeats are the progress signal: with recovery on
+// (FaultOptions::enabled) every task attempt owns a TaskHeartbeat whose
+// counter the phase bodies bump from their existing batch loops (tuples
+// mapped, kernel emission batches, partitions joined). Stall detection
+// therefore only runs where recovery can act on a cancellation; with
+// recovery off the watchdog enforces the deadline only.
 #ifndef PASJOIN_EXEC_WATCHDOG_H_
 #define PASJOIN_EXEC_WATCHDOG_H_
 
@@ -43,7 +43,7 @@ namespace pasjoin::exec {
 struct WatchdogOptions {
   /// Master switch for stall detection. Only effective together with
   /// FaultOptions::enabled (recovery is what makes cancelling a stuck
-  /// attempt productive); on the fast path an enabled watchdog is inert.
+  /// attempt productive); without recovery an enabled watchdog is inert.
   bool enabled = false;
 
   /// An attempt whose heartbeat has not advanced for this long is

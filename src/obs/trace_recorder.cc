@@ -93,13 +93,19 @@ void TraceRecorder::Append(const TraceEvent& event) {
 }
 
 void TraceRecorder::Instant(const char* name, const char* category,
-                            int32_t track) {
+                            int32_t track, const char* arg_name,
+                            int64_t arg_value) {
   TraceEvent e;
   e.name = name;
   e.category = category;
   e.type = 'i';
   e.start_ns = NowNs();
   e.track = track;
+  if (arg_name != nullptr) {
+    e.arg_names[0] = arg_name;
+    e.arg_values[0] = arg_value;
+    e.num_args = 1;
+  }
   Append(e);
 }
 

@@ -107,8 +107,10 @@ class TraceRecorder {
   /// thread's ordinal).
   void Append(const TraceEvent& event);
 
-  /// Records an instant event on `track` at the current time.
-  void Instant(const char* name, const char* category, int32_t track);
+  /// Records an instant event on `track` at the current time, with one
+  /// integer arg when `arg_name` is set.
+  void Instant(const char* name, const char* category, int32_t track,
+               const char* arg_name = nullptr, int64_t arg_value = 0);
 
   /// Integer observables of the traced job; serialized into the trace file.
   CounterRegistry& counters() { return counters_; }

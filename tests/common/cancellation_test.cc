@@ -10,6 +10,7 @@
 #include <cmath>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,7 +199,9 @@ TEST(CancellationStressTest, ConcurrentCancelRacesAreSingleWinner) {
     threads.reserve(4);
     for (int t = 0; t < 4; ++t) {
       threads.emplace_back([&, t] {
-        if (source.Cancel(StatusCode::kCancelled, "t" + std::to_string(t))) {
+        std::string reason = std::to_string(t);
+        reason.insert(reason.begin(), 't');
+        if (source.Cancel(StatusCode::kCancelled, std::move(reason))) {
           ++wins;
         }
       });

@@ -14,6 +14,8 @@
 namespace pasjoin::exec {
 namespace {
 
+using pasjoin::testing::RunPartitionedJoin;
+
 using Param = std::tuple<int /*workers*/, int /*splits*/, int /*physical*/>;
 
 class EngineSweep : public ::testing::TestWithParam<Param> {};

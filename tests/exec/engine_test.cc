@@ -13,6 +13,7 @@ namespace {
 
 using pasjoin::testing::BruteForcePairs;
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::RunPartitionedJoin;
 
 /// A simple 1-D partitioner over [0, 10): partition = floor(x), with the
 /// replicated side copied into the neighbor partitions its eps-ball touches.

@@ -22,6 +22,7 @@ namespace {
 
 using pasjoin::testing::BruteForcePairs;
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::RunPartitionedJoin;
 
 /// 1-D band partitioner over [0, 10): partition = floor(x), replicated side
 /// copied into every neighbor partition its eps-ball touches.
@@ -246,6 +247,40 @@ TEST(EngineTraceTest, FaultTolerantTracedRunRecordsRecoveryEvents) {
   EXPECT_GT(count["fault-backoff"], 0u);
   // More attempts than tasks ran, but each task committed exactly once.
   EXPECT_GT(count["join-task"], committed_by_task.size());
+  for (const auto& [task, commits] : committed_by_task) {
+    EXPECT_EQ(commits, 1u) << "task " << task;
+  }
+}
+
+TEST(EngineTraceTest, RecoveringRunJoinsOnePartitionPerCommittedTask) {
+  // With recovery on and nothing injected, the join phase steals per
+  // (worker, partition) item like the fault-free configuration: one
+  // committed join-task span per joined partition, not one per worker.
+  const Dataset r = MakeDataset(RandomPoints(400, 39), 0, "R");
+  const Dataset s = MakeDataset(RandomPoints(400, 40), 1000, "S");
+  EngineOptions options = BaseOptions();
+  options.fault.enabled = true;
+  obs::TraceRecorder recorder;
+  options.trace = &recorder;
+  const JoinRun run = RunPartitionedJoin(
+      r, s, BandAssign(options.eps, Side::kR),
+      [](PartitionId p) { return p % 4; }, options);
+
+  std::map<int64_t, size_t> committed_by_task;
+  for (const obs::TraceEvent& e : recorder.Snapshot()) {
+    if (std::string(e.name) != "join-task") continue;
+    int64_t task = -1;
+    int64_t committed = 1;
+    for (int i = 0; i < e.num_args; ++i) {
+      const std::string arg = e.arg_names[i];
+      if (arg == "task") task = e.arg_values[i];
+      if (arg == "committed") committed = e.arg_values[i];
+    }
+    if (committed != 0) ++committed_by_task[task];
+  }
+  EXPECT_GT(run.metrics.partitions_joined,
+            static_cast<uint64_t>(options.workers));
+  EXPECT_EQ(committed_by_task.size(), run.metrics.partitions_joined);
   for (const auto& [task, commits] : committed_by_task) {
     EXPECT_EQ(commits, 1u) << "task " << task;
   }

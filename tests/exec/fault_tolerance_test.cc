@@ -1,8 +1,8 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// Tests of the engine's fault-tolerant execution path: fault-free parity
-// with the fast path, exact recovery from injected failures, worker loss,
-// stragglers + speculative execution, retry-budget exhaustion, and the
+// Tests of the engine's recovery policy (FaultOptions::enabled): fault-free
+// parity with recovery off, exact recovery from injected failures, worker
+// loss, stragglers + speculative execution, retry-budget exhaustion, and the
 // input-validation contract of TryRunPartitionedJoin
 // (docs/FAULT_TOLERANCE.md).
 #include <algorithm>
@@ -375,8 +375,8 @@ TEST(FaultToleranceTest, ValidationRejectsNonFiniteCoordinates) {
 }
 
 TEST(FaultToleranceTest, FastPathConvertsTaskExceptionsToInternal) {
-  // A throwing local join on the fast path must surface as kInternal, not
-  // escape as a C++ exception or abort.
+  // With recovery off, a throwing local join must surface as kInternal,
+  // not escape as a C++ exception or abort.
   const Dataset r = MakeDataset(RandomPoints(50, 48), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(50, 49), 1000, "S");
   const EngineOptions options = BaseOptions();
@@ -397,8 +397,8 @@ TEST(FaultToleranceTest, FastPathConvertsTaskExceptionsToInternal) {
 }
 
 TEST(FaultToleranceTest, FaultPathRetriesRealTaskExceptions) {
-  // On the fault-tolerant path a genuinely throwing task is handled by the
-  // same retry machinery as injected faults: the first N attempts throw,
+  // With recovery on, a genuinely throwing task is handled by the same
+  // retry machinery as injected faults: the first N attempts throw,
   // the next one succeeds, and the job recovers.
   const Dataset r = MakeDataset(RandomPoints(200, 50), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(200, 51), 1000, "S");

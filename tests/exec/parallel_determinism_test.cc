@@ -24,6 +24,7 @@ namespace pasjoin::exec {
 namespace {
 
 using pasjoin::testing::MakeDataset;
+using pasjoin::testing::RunPartitionedJoin;
 
 /// 1-D band partitioner over [0, 10): partition = floor(x), R replicated
 /// into every neighbor partition its eps-ball touches — so the join emits
@@ -190,7 +191,9 @@ TEST(ParallelDeterminismTest, NoDedupPathIsDeterministicToo) {
     options.physical_threads = threads;
     JoinRun run = RunPartitionedJoin(r, s, assign, owner, options);
     std::sort(run.pairs.begin(), run.pairs.end());
-    ExpectIdentical(base, run, "T" + std::to_string(threads));
+    std::string label = "T";
+    label += std::to_string(threads);
+    ExpectIdentical(base, run, label);
   }
 }
 

@@ -62,8 +62,8 @@ TEST(PhaseClockStressTest, ConcurrentShardMergesAreExact) {
 }
 
 TEST(PhaseClockStressTest, ConcurrentLockedAddsAreExact) {
-  // The fault path's RecoveringPhaseRunner still uses the locked Add from
-  // many pool threads at once; updates must never be lost.
+  // The locked Add may be called from many pool threads at once; updates
+  // must never be lost.
   constexpr int kWorkers = 4;
   constexpr int kThreads = 8;
   constexpr int kAddsPerThread = 20000;

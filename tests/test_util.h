@@ -4,13 +4,16 @@
 #ifndef PASJOIN_TESTS_TEST_UTIL_H_
 #define PASJOIN_TESTS_TEST_UTIL_H_
 
+#include <cstdio>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/geometry.h"
+#include "common/macros.h"
 #include "common/rng.h"
 #include "common/tuple.h"
+#include "exec/engine.h"
 
 namespace pasjoin::testing {
 
@@ -60,6 +63,23 @@ inline std::vector<Point> RandomPointsNearCorners(
     }
   }
   return out;
+}
+
+/// Runs exec::TryRunPartitionedJoin and aborts the test binary on any
+/// error, printing the status; for tests whose subject is not the error
+/// contract itself.
+inline exec::JoinRun RunPartitionedJoin(
+    const Dataset& r, const Dataset& s, const exec::AssignFn& assign,
+    const exec::OwnerFn& owner, const exec::EngineOptions& options,
+    const exec::LocalJoinFn& local_join = exec::LocalJoinFn()) {
+  Result<exec::JoinRun> result =
+      exec::TryRunPartitionedJoin(r, s, assign, owner, options, local_join);
+  if (!result.ok()) {
+    std::fprintf(stderr, "RunPartitionedJoin: %s\n",
+                 result.status().ToString().c_str());
+  }
+  PASJOIN_CHECK(result.ok());
+  return result.MoveValue();
 }
 
 }  // namespace pasjoin::testing

@@ -50,7 +50,7 @@ reported (exit 1 on violation):
 
 Only committed task spans (args.committed != 0; spans without the arg count
 as committed) enter the busy sums — failed and losing speculative attempts
-of the fault-tolerant path are excluded, mirroring the engine's PhaseClock.
+of runs with recovery on are excluded, mirroring the engine's PhaseClock.
 
 Usage:
   tools/trace_summary.py trace.json
