@@ -206,7 +206,8 @@ AgreementGraph AgreementGraph::Build(const Grid& grid, const GridStats& stats,
                                      Policy policy, AgreementType tie_break) {
   AgreementGraph g = PrepareBuild(grid, policy, tie_break);
   g.DecidePairRange(stats, 0, g.NumPairSlots());
-  g.MaterializeSubgraphRange(stats, 0, grid.num_quartets());
+  g.MaterializeSubgraphRange(stats, 0,
+                             static_cast<grid::QuartetId>(grid.num_quartets()));
   return g;
 }
 

@@ -28,7 +28,7 @@ int ConflictNeighbors(const grid::Grid& grid, grid::QuartetId q,
 
 QuartetColoring QuartetColoring::Build(const grid::Grid& grid) {
   QuartetColoring coloring;
-  const grid::QuartetId num_quartets = grid.num_quartets();
+  const auto num_quartets = static_cast<grid::QuartetId>(grid.num_quartets());
   coloring.color_.assign(static_cast<size_t>(num_quartets), -1);
   std::array<grid::QuartetId, 4> nbr;
   for (grid::QuartetId q = 0; q < num_quartets; ++q) {

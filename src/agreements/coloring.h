@@ -1,7 +1,7 @@
 // Copyright 2026 The pasjoin Authors.
 //
 // Conflict-free coloring of the quartet-adjacency graph, the scheduling
-// substrate for parallel agreement-graph planning (docs/PARALLELISM.md §8).
+// substrate for parallel agreement-graph planning (docs/PARALLELISM.md §9).
 //
 // Two quartets CONFLICT when they share a side-adjacent cell pair (a
 // horizontal or vertical pair edge): the pair's agreement type is stored

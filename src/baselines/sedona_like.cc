@@ -56,11 +56,13 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     quadtree.max_items_per_node = std::max<int>(
         1, static_cast<int>(sample.size()) / std::max(1, target));
   }
-  const spatial::QuadTreePartitioner partitioner = [&] {
+  Result<spatial::QuadTreePartitioner> built = [&] {
     obs::ScopedSpan span(trace, "driver-quadtree", "driver");
     span.AddArg("sample_points", static_cast<int64_t>(sample.size()));
-    return spatial::QuadTreePartitioner(mbr, sample, quadtree);
+    return spatial::QuadTreePartitioner::Make(mbr, sample, quadtree);
   }();
+  if (!built.ok()) return built.status();
+  const spatial::QuadTreePartitioner partitioner = built.MoveValue();
   const double driver_seconds = driver.ElapsedSeconds();
 
   const double eps = options.eps;

@@ -1,6 +1,7 @@
 // Copyright 2026 The pasjoin Authors.
 #include "core/adaptive_join.h"
 
+#include <new>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -11,9 +12,11 @@
 
 namespace pasjoin::core {
 
-Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
-                                           const AdaptiveJoinOptions& options,
-                                           AdaptiveJoinArtifacts* artifacts) {
+namespace {
+
+Result<exec::JoinRun> RunAdaptiveJoin(const Dataset& r, const Dataset& s,
+                                      const AdaptiveJoinOptions& options,
+                                      AdaptiveJoinArtifacts* artifacts) {
   if (!(options.eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
   }
@@ -141,6 +144,22 @@ Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
     exec::PublishMetricGauges(run.metrics, &trace->counters());
   }
   return run;
+}
+
+}  // namespace
+
+Result<exec::JoinRun> AdaptiveDistanceJoin(const Dataset& r, const Dataset& s,
+                                           const AdaptiveJoinOptions& options,
+                                           AdaptiveJoinArtifacts* artifacts) {
+  // The driver's per-cell and per-quartet planning state grows with the
+  // grid; an allocation failure there becomes a Status, not a throw.
+  try {
+    return RunAdaptiveJoin(r, s, options, artifacts);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted(
+        "out of memory while planning the adaptive join (grid too fine for "
+        "eps?)");
+  }
 }
 
 }  // namespace pasjoin::core

@@ -109,7 +109,9 @@ struct AdaptiveJoinArtifacts {
 /// Runs the adaptive-replication eps-distance join R join_eps S.
 ///
 /// On success the returned run's metrics carry all paper observables;
-/// `run.pairs` is filled when `options.collect_results`.
+/// `run.pairs` is filled when `options.collect_results`. Never throws: a
+/// grid too fine for 32-bit cell ids, or planning state that cannot be
+/// allocated, returns kResourceExhausted.
 [[nodiscard]] Result<exec::JoinRun> AdaptiveDistanceJoin(
     const Dataset& r, const Dataset& s, const AdaptiveJoinOptions& options,
     AdaptiveJoinArtifacts* artifacts = nullptr);

@@ -88,7 +88,7 @@ void CostModel::PerCellCandidatesRange(const AgreementGraph& graph,
 
 std::vector<double> CostModel::PerCellCandidates(
     const AgreementGraph& graph) const {
-  const int cells = grid_->num_cells();
+  const auto cells = static_cast<int>(grid_->num_cells());
   std::vector<double> out(static_cast<size_t>(cells), 0.0);
   PerCellCandidatesRange(graph, 0, cells, out.data());
   return out;
@@ -140,7 +140,7 @@ CostPrediction CostModel::Predict(const AgreementGraph& graph) const {
   // Fixed-block accumulation: per-block partials folded in ascending block
   // order. The parallel planner computes the same blocks on worker threads
   // and folds them in the same order, so both paths agree bit-for-bit.
-  const int cells = grid_->num_cells();
+  const auto cells = static_cast<int>(grid_->num_cells());
   const int blocks = cells == 0 ? 0 : (cells + kPredictBlockCells - 1) /
                                           kPredictBlockCells;
   std::vector<PredictPartial> partials(static_cast<size_t>(blocks));

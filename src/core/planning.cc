@@ -67,7 +67,8 @@ AgreementGraph PlanAgreementGraph(const grid::Grid& grid,
   {
     obs::ScopedSpan span(trace, "planning-subgraphs", "planning");
     span.AddArg("quartets", grid.num_quartets());
-    planner->ParallelFor(grid.num_quartets(), [&g, &stats](int begin, int end) {
+    const auto quartets = static_cast<int>(grid.num_quartets());
+    planner->ParallelFor(quartets, [&g, &stats](int begin, int end) {
       g.MaterializeSubgraphRange(stats, begin, end);
     });
   }
@@ -76,9 +77,9 @@ AgreementGraph PlanAgreementGraph(const grid::Grid& grid,
   obs::ScopedSpan span(trace, "planning-marking", "planning");
   span.AddArg("quartets", grid.num_quartets());
   if (order == MarkingOrder::kWeightDescending ||
-      !planner->WouldParallelize(grid.num_quartets())) {
+      !planner->WouldParallelize(static_cast<int>(grid.num_quartets()))) {
     // kWeightDescending: conservative sequential fallback (the issue's
-    // weight-strata coloring is future work; see docs/PARALLELISM.md §8).
+    // weight-strata coloring is future work; see docs/PARALLELISM.md §9).
     // Small grids: the coloring costs more than the marking.
     span.SetStringArg("mode", "sequential");
     g.RunDuplicateFreeMarking(order);
@@ -114,7 +115,8 @@ std::vector<double> PlanCellCosts(const grid::Grid& grid,
   span.AddArg("cells", grid.num_cells());
   std::vector<double> costs(static_cast<size_t>(grid.num_cells()), 0.0);
   double* const out = costs.data();
-  planner->ParallelFor(grid.num_cells(), [&stats, out](int begin, int end) {
+  const auto cells = static_cast<int>(grid.num_cells());
+  planner->ParallelFor(cells, [&stats, out](int begin, int end) {
     for (grid::CellId c = begin; c < end; ++c) {
       out[static_cast<size_t>(c)] = stats.EstimatedCellCost(c);
     }
@@ -126,7 +128,7 @@ std::vector<double> PlanPerCellCandidates(const CostModel& model,
                                           const AgreementGraph& graph,
                                           Planner* planner,
                                           obs::TraceRecorder* trace) {
-  const int cells = graph.grid().num_cells();
+  const auto cells = static_cast<int>(graph.grid().num_cells());
   obs::ScopedSpan span(trace, "planning-costs", "planning");
   span.AddArg("cells", cells);
   std::vector<double> candidates(static_cast<size_t>(cells), 0.0);
@@ -139,7 +141,7 @@ std::vector<double> PlanPerCellCandidates(const CostModel& model,
 
 CostPrediction PlanPredict(const CostModel& model, const AgreementGraph& graph,
                            Planner* planner, obs::TraceRecorder* trace) {
-  const int cells = graph.grid().num_cells();
+  const auto cells = static_cast<int>(graph.grid().num_cells());
   constexpr int kBlock = CostModel::kPredictBlockCells;
   const int blocks = cells == 0 ? 0 : (cells + kBlock - 1) / kBlock;
   obs::ScopedSpan span(trace, "planning-costs", "planning");

@@ -15,7 +15,7 @@
 //     only frozen pair types, so same-color marking commutes for the
 //     order-commuting marking orders (kPaper, kIndexOrder); for
 //     kWeightDescending the planner conservatively falls back to the
-//     sequential loop (docs/PARALLELISM.md §8).
+//     sequential loop (docs/PARALLELISM.md §9).
 //   * Cost-model accumulation is chunked into fixed blocks of
 //     CostModel::kPredictBlockCells cells; per-block partials are folded in
 //     ascending block order on the driver thread, so the floating-point

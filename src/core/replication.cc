@@ -14,6 +14,22 @@ using grid::CellId;
 using grid::DiagonalOf;
 using grid::QuartetId;
 
+ReplicationAssigner::ReplicationAssigner(
+    const grid::Grid* grid, const agreements::AgreementGraph* graph)
+    : grid_(grid),
+      graph_(graph),
+      eps2_(grid->eps() * grid->eps()),
+      supar_mask_(static_cast<size_t>(grid->num_quartets()), 0) {
+  for (size_t q = 0; q < supar_mask_.size(); ++q) {
+    const QuartetSubgraph& sub = graph->Subgraph(static_cast<QuartetId>(q));
+    for (int i = 0; i < 4; ++i) {
+      if (sub.edge[i ^ 1][i].marked || sub.edge[i ^ 2][i].marked) {
+        supar_mask_[q] = static_cast<uint8_t>(supar_mask_[q] | (1u << i));
+      }
+    }
+  }
+}
+
 CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
   const CellId native = grid_->Locate(p);
   CellList out;
@@ -39,7 +55,9 @@ CellList ReplicationAssigner::Assign(const Point& p, Side side) const {
     // the quartet's merged (square-shaped) duplicate-prone area, so the own
     // quartet must be probed as well (resolved pseudocode ambiguity; see
     // DESIGN.md 5.1).
-    SupAr(sub, p, tau, i, &out);
+    if ((supar_mask_[static_cast<size_t>(area.quartet)] >> i) & 1u) {
+      SupAr(sub, p, tau, i, &out);
+    }
     const int qx = grid_->QuartetX(area.quartet);
     const int qy = grid_->QuartetY(area.quartet);
     SupArAt(qx, qy - area.dy, p, tau, native, &out);
@@ -131,10 +149,11 @@ void ReplicationAssigner::SupArAt(int qx, int qy, const Point& o,
                                   CellList* out) const {
   const QuartetId q = grid_->QuartetIdOf(qx, qy);
   if (q == grid::kInvalidId) return;
-  const QuartetSubgraph& sub = graph_->Subgraph(q);
+  const uint8_t mask = supar_mask_[static_cast<size_t>(q)];
+  if (mask == 0) return;
   const int i = grid_->PositionInQuartet(q, native);
-  if (i < 0) return;
-  SupAr(sub, o, tau, i, out);
+  if (i < 0 || ((mask >> i) & 1u) == 0) return;
+  SupAr(graph_->Subgraph(q), o, tau, i, out);
 }
 
 }  // namespace pasjoin::core

@@ -8,6 +8,9 @@
 #ifndef PASJOIN_CORE_REPLICATION_H_
 #define PASJOIN_CORE_REPLICATION_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "agreements/agreement_graph.h"
 #include "common/small_vector.h"
 #include "common/tuple.h"
@@ -25,12 +28,12 @@ using CellList = SmallVector<grid::CellId, 4>;
 /// role of the broadcast grid of Algorithm 5).
 class ReplicationAssigner {
  public:
-  /// `grid` and `graph` must outlive the assigner; `graph` must already be
-  /// duplicate-free (RunDuplicateFreeMarking) unless the caller deliberately
-  /// wants the non-duplicate-free variant of Table 6.
+  /// `grid` and `graph` must outlive the assigner and must not change after
+  /// its construction; `graph` must already be duplicate-free
+  /// (RunDuplicateFreeMarking) unless the caller deliberately wants the
+  /// non-duplicate-free variant of Table 6.
   ReplicationAssigner(const grid::Grid* grid,
-                      const agreements::AgreementGraph* graph)
-      : grid_(grid), graph_(graph), eps2_(grid->eps() * grid->eps()) {}
+                      const agreements::AgreementGraph* graph);
 
   /// Algorithm 2: the cells point `p` of relation `side` is assigned to.
   CellList Assign(const Point& p, Side side) const;
@@ -53,6 +56,10 @@ class ReplicationAssigner {
   const grid::Grid* grid_;
   const agreements::AgreementGraph* graph_;
   double eps2_;
+  /// Per quartet, bit i is set when a side neighbor j of position i has a
+  /// marked edge e_ji. SupAr can add a cell only through such an edge, so
+  /// a clear bit skips it exactly; most quartets have no marked edge.
+  std::vector<uint8_t> supar_mask_;
 };
 
 }  // namespace pasjoin::core

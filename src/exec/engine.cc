@@ -1,21 +1,32 @@
 // Copyright 2026 The pasjoin Authors.
 //
 // Engine implementation: one phase sequence (map -> regroup -> join ->
-// optional dedup), every phase executed by the work-stealing RunStealPhase,
-// and the join stolen per (worker, partition) item. Fault recovery is a
-// policy of that runner, switched on by FaultOptions::enabled:
+// optional dedup), every phase executed by the work-stealing RunStealPhase.
+// The shuffle is columnar and two-pass (count, then scatter):
 //
-//   * off: every index runs exactly once, map outputs are moved into the
-//     per-worker stores and freed eagerly, and a thrown exception fails the
-//     job with kInternal. No attempt state, heartbeat or retained input is
-//     allocated;
+//   * map, one task per input split: assign every tuple, record its
+//     partition ids in a flat array, and count instances and payload bytes
+//     per destination partition;
+//   * prefix sums on the driver: lay the partitions out by (owner, id) and
+//     give every task a disjoint write range in each partition;
+//   * regroup, one task per split: scatter id/x/y into the per-partition
+//     struct-of-arrays columns, payload bytes into an offset-indexed arena;
+//   * join, stolen per (worker, partition) item: the SoA sweep sorts
+//     straight from the columns; other kernels get Tuple copies.
+//
+// Fault recovery is a policy of the phase runner, switched on by
+// FaultOptions::enabled:
+//
+//   * off: every index runs exactly once, the pass-1 outputs are freed after
+//     the scatter, and a thrown exception fails the job with kInternal. No
+//     attempt state, heartbeat or retained input is allocated;
 //   * on: every index keeps attempt state; a failed attempt (injected,
 //     thrown, stalled, or struck by the simulated worker loss) is re-queued
 //     after an exponential backoff, idle runners back up straggling
 //     attempts, and each index commits exactly once (first finisher wins).
-//     Regroup copies out of the retained map outputs and records each
-//     partition's lineage, so a lost worker's partitions are rebuilt one at
-//     a time. See docs/FAULT_TOLERANCE.md for the model.
+//     The pass-1 outputs are retained as lineage, so a lost worker's
+//     partitions are rebuilt one at a time by re-scattering just their
+//     ranges. See docs/FAULT_TOLERANCE.md for the model.
 #include "exec/engine.h"
 
 #include <algorithm>
@@ -25,7 +36,6 @@
 #include <exception>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -34,6 +44,7 @@
 #include "common/stopwatch.h"
 #include "common/sync.h"
 #include "exec/phase_clock.h"
+#include "exec/shuffle.h"
 #include "exec/steal_queue.h"
 #include "exec/thread_pool.h"
 #include "obs/counters.h"
@@ -41,40 +52,6 @@
 #include "spatial/sweep_kernel.h"
 
 namespace pasjoin::exec {
-
-namespace {
-
-/// A tuple instance in flight through the shuffle.
-struct Routed {
-  PartitionId part;
-  Side side;
-  Tuple tuple;
-};
-
-/// One partition's buffers on its owning worker. With recovery on,
-/// `lineage` lists the map tasks (input splits) that contributed tuples, in
-/// task order. The stores are held by the driver, so the lineage survives
-/// the loss of the worker's buffers — exactly like Spark's driver-side RDD
-/// lineage.
-struct PartitionBuffers {
-  std::vector<Tuple> r;
-  std::vector<Tuple> s;
-  std::vector<int32_t> lineage;
-};
-
-struct MapTaskOutput {
-  /// Routed tuples grouped by destination worker.
-  std::vector<std::vector<Routed>> by_worker;
-  uint64_t replicated = 0;
-  uint64_t shuffled_tuples = 0;
-  uint64_t shuffle_bytes = 0;
-  uint64_t remote_bytes = 0;
-};
-
-/// Per-partition buffers held by one logical worker.
-using Store = std::unordered_map<PartitionId, PartitionBuffers>;
-
-}  // namespace
 
 LocalJoinFn PlaneSweepLocalJoin() {
   return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
@@ -137,114 +114,6 @@ namespace {
 // Phase bodies. Each body is a pure function of retained inputs, which is
 // what makes re-execution safe.
 // ---------------------------------------------------------------------------
-
-/// Computes one map task: routes split `task % num_splits` of relation
-/// (task < num_splits ? R : S) to its destination workers. Idempotent — the
-/// input splits ("HDFS blocks") are always retained. Polls `cancel` every
-/// kKernelPollGrain tuples and returns a partial output once it fires (the
-/// caller discards it — cancelled attempts never publish).
-MapTaskOutput ComputeMapTask(int task, const Dataset& r, const Dataset& s,
-                             const AssignFn& assign, const OwnerFn& owner,
-                             const EngineOptions& options, int num_splits,
-                             int workers,
-                             const spatial::KernelCancellation* cancel) {
-  const bool is_r = task < num_splits;
-  const int split = task % num_splits;
-  const Side side = is_r ? Side::kR : Side::kS;
-  const std::vector<Tuple>& tuples = (is_r ? r : s).tuples;
-  const size_t n = tuples.size();
-  const size_t lo =
-      n * static_cast<size_t>(split) / static_cast<size_t>(num_splits);
-  const size_t hi =
-      n * (static_cast<size_t>(split) + 1) / static_cast<size_t>(num_splits);
-  const int src_worker = split % workers;
-
-  MapTaskOutput out;
-  out.by_worker.resize(static_cast<size_t>(workers));
-  for (size_t i = lo; i < hi; ++i) {
-    const Tuple& t = tuples[i];
-    const PartitionList parts = assign(t, side);
-    PASJOIN_DCHECK(!parts.empty());
-    out.replicated += parts.size() - 1;
-    for (size_t p = 0; p < parts.size(); ++p) {
-      const PartitionId part = parts[p];
-      const int dest = owner(part);
-      Routed routed;
-      routed.part = part;
-      routed.side = side;
-      routed.tuple.id = t.id;
-      routed.tuple.pt = t.pt;
-      if (options.carry_payloads) routed.tuple.payload = t.payload;
-      const uint64_t bytes = routed.tuple.ShuffleBytes();
-      out.shuffled_tuples += 1;
-      out.shuffle_bytes += bytes;
-      if (dest != src_worker) out.remote_bytes += bytes;
-      out.by_worker[static_cast<size_t>(dest)].push_back(std::move(routed));
-    }
-    if (cancel != nullptr &&
-        ((i - lo) & (spatial::kKernelPollGrain - 1)) ==
-            spatial::kKernelPollGrain - 1) {
-      cancel->Pulse(spatial::kKernelPollGrain);
-      if (cancel->ShouldStop()) return out;  // partial; caller discards
-    }
-  }
-  if (cancel != nullptr) {
-    cancel->Pulse((hi - lo) & (spatial::kKernelPollGrain - 1));
-  }
-  return out;
-}
-
-/// Regroup body: gathers worker `w`'s inbound tuples into per-partition
-/// buffers, walking the map outputs in task order so every buffer's tuple
-/// order is deterministic. Without recovery the tuples are moved out and
-/// each drained inbound vector is freed at once. With recovery (`retain`)
-/// they are copied, the map outputs stay intact for re-execution, and each
-/// partition records its lineage. Polls `cancel` between map outputs; a
-/// cancelled call leaves a partial store the caller discards.
-void RegroupWorker(int w, std::vector<MapTaskOutput>* map_out, bool retain,
-                   Store* store, const spatial::KernelCancellation* cancel) {
-  for (size_t task = 0; task < map_out->size(); ++task) {
-    MapTaskOutput& out = (*map_out)[task];
-    std::vector<Routed>& inbound = out.by_worker[static_cast<size_t>(w)];
-    const size_t routed_count = inbound.size();
-    for (Routed& routed : inbound) {
-      PartitionBuffers& buf = (*store)[routed.part];
-      std::vector<Tuple>& side = routed.side == Side::kR ? buf.r : buf.s;
-      if (!retain) {
-        side.push_back(std::move(routed.tuple));
-        continue;
-      }
-      side.push_back(routed.tuple);
-      if (buf.lineage.empty() ||
-          buf.lineage.back() != static_cast<int32_t>(task)) {
-        buf.lineage.push_back(static_cast<int32_t>(task));
-      }
-    }
-    if (!retain) std::vector<Routed>().swap(inbound);
-    if (cancel != nullptr) {
-      cancel->Pulse(routed_count);
-      if (cancel->ShouldStop()) return;
-    }
-  }
-}
-
-/// Lineage-based recovery of one partition lost with its worker: re-reads
-/// exactly the retained map outputs its lineage names, in task order, so
-/// the rebuilt buffers equal the lost ones tuple for tuple.
-void RebuildPartition(int w, PartitionId part,
-                      const std::vector<int32_t>& lineage,
-                      const std::vector<MapTaskOutput>& map_out,
-                      PartitionBuffers* out) {
-  out->r.clear();
-  out->s.clear();
-  for (const int32_t task : lineage) {
-    for (const Routed& routed :
-         map_out[static_cast<size_t>(task)].by_worker[static_cast<size_t>(w)]) {
-      if (routed.part != part) continue;
-      (routed.side == Side::kR ? out->r : out->s).push_back(routed.tuple);
-    }
-  }
-}
 
 /// The resolved local-join strategy of one run: either the native SoA sweep
 /// fast path (no per-pair std::function anywhere) or a type-erased
@@ -320,19 +189,22 @@ struct JoinThreadState {
   /// attempt rolls back to it.
   size_t undo_pairs = 0;
   JoinTotals undo_totals;
-  /// Attempt-private buffers (recovery only): a rebuilt lost partition, or
-  /// the copied input of a kernel that may reorder it.
-  PartitionBuffers private_buf;
+  /// The Tuples a type-erased kernel joins, materialized from the columns
+  /// per partition (the kernel may reorder them).
+  std::vector<Tuple> tuples_r;
+  std::vector<Tuple> tuples_s;
+  /// A partition rebuilt from lineage after its worker was lost.
+  PartitionBuffer rebuilt;
 };
 
-/// Joins ONE partition's buffers, appending into `acc` (a runner's
-/// per-worker slice). May reorder buffer contents (the local
-/// join owns them) but never changes the produced multiset. The native SoA
-/// path polls `cancel` inside the sweep (kKernelPollGrain pivots) and pulses
-/// once per partition; type-erased kernels pulse their candidate count after
-/// the partition (their LocalJoinFn signature predates cancellation). The
-/// caller discards the output of a cancelled attempt.
-void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
+/// Joins ONE partition, appending into `acc` (a runner's per-worker
+/// slice). The native SoA path sorts straight from the shuffle columns and
+/// polls `cancel` inside the sweep (kKernelPollGrain pivots), pulsing once
+/// per partition; type-erased kernels join runner-local Tuple copies and
+/// pulse their candidate count after the partition (their LocalJoinFn
+/// signature predates cancellation). The caller discards the output of a
+/// cancelled attempt.
+void JoinSinglePartition(PartitionId part, const PartitionView& v,
                          const EngineOptions& options,
                          const KernelDispatch& kernel, bool keep_pairs,
                          JoinThreadState* scratch,
@@ -349,8 +221,9 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
   ++totals->partitions;
   uint64_t* const filtered = &totals->filtered;
   if (kernel.use_soa) {
-    scratch->soa_r.LoadSorted(buf->r, &totals->timings, trace);
-    scratch->soa_s.LoadSorted(buf->s, &totals->timings, trace);
+    scratch->soa_r.LoadSorted(v.x, v.y, v.id, v.r, &totals->timings, trace);
+    scratch->soa_s.LoadSorted(v.x + v.r, v.y + v.r, v.id + v.r, v.s,
+                              &totals->timings, trace);
     if (self_join) {
       // The sweep sees every ordered match; keep r.id < s.id (each
       // unordered pair once) and count the rest so the phase total can be
@@ -388,7 +261,10 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
           }
           if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
         };
-    totals->counters += kernel.fn(&buf->r, &buf->s, options.eps, emit);
+    Materialize(v, 0, v.r, &scratch->tuples_r);
+    Materialize(v, v.r, v.s, &scratch->tuples_s);
+    totals->counters +=
+        kernel.fn(&scratch->tuples_r, &scratch->tuples_s, options.eps, emit);
     if (cancel != nullptr) {
       cancel->Pulse(totals->counters.candidates - before.candidates + 1);
     }
@@ -398,15 +274,6 @@ void JoinSinglePartition(PartitionId part, PartitionBuffers* buf,
   span.AddArg("results", static_cast<int64_t>(totals->counters.results -
                                               before.results));
 }
-
-/// One (worker, partition) unit of the join phase. The buffer pointer stays
-/// valid for the whole phase: the stores are built before the items and
-/// never rehashed while the join runs.
-struct JoinItem {
-  int worker = 0;
-  PartitionId part = 0;
-  PartitionBuffers* buf = nullptr;
-};
 
 /// Shared merge slot of one logical worker's join output. Stealing runner
 /// threads flush their thread-local accumulators in here in batches; a
@@ -589,11 +456,17 @@ struct JobContext {
 /// One claimed attempt of an index under recovery.
 struct Attempt {
   int index = 0;
-  /// 0 for the first attempt; the FaultInjector keys decisions on it.
+  /// Position in the index's retry chain: 0 for the first attempt, k for
+  /// the k-th retry. A backup carries the number of the attempt it backs
+  /// up. The FaultInjector keys decisions on it.
   int number = 0;
   /// Backoff waited before this retry (0 for first attempts and backups).
   double backoff_seconds = 0.0;
   bool is_retry = false;
+  /// A speculative backup: it draws no injected failure or straggle and is
+  /// never struck by the worker loss, so the injected fault pattern is a
+  /// function of the seed alone, not of which attempts got backed up.
+  bool backup = false;
 };
 
 /// How an attempt ended. kInterrupted (its token fired) is resolved into
@@ -620,7 +493,9 @@ enum class Outcome : uint8_t {
 ///   * once a quarter of the indices (at least 3) committed, an idle runner
 ///     backs up an attempt running longer than straggler_multiplier x the
 ///     median committed time (the median is refreshed whenever the
-///     committed count doubles);
+///     committed count doubles). Regroup tasks scatter in place into their
+///     column ranges and are never backed up: two attempts of one index
+///     must not write the same range concurrently;
 ///   * the first successful attempt of an index commits and cancels its
 ///     running siblings that hold a heartbeat; later finishers are
 ///     discarded.
@@ -639,6 +514,7 @@ class RecoveryPolicy {
         lose_here_(lose_here),
         lost_(injector_.lost_worker()),
         survivor_(lost_ >= 0 && workers >= 2 ? (lost_ + 1) % workers : -1),
+        speculate_(options_.speculation && phase != Phase::kRegroup),
         states_(static_cast<size_t>(count)) {}
 
   /// Claims runner `rnr`'s next attempt: a retry whose backoff elapsed, a
@@ -659,18 +535,18 @@ class RecoveryPolicy {
         const QueuedRetry retry = retries_[k];
         retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(k));
         Launch(retry.index, retry.backoff_seconds, /*is_retry=*/true,
-               attempt);
+               /*backup=*/false, attempt);
         return true;
       }
       int begin = 0;
       int end = 0;
       if (queue->Next(rnr, &begin, &end)) {
-        Launch(begin, 0.0, /*is_retry=*/false, attempt);
+        Launch(begin, 0.0, /*is_retry=*/false, /*backup=*/false, attempt);
         return true;
       }
       const int backup = SpeculationCandidate(now);
       if (backup >= 0) {
-        Launch(backup, 0.0, /*is_retry=*/false, attempt);
+        Launch(backup, 0.0, /*is_retry=*/false, /*backup=*/true, attempt);
         return true;
       }
       cv_.WaitFor(&mu_, std::chrono::duration<double>(wake - now));
@@ -688,13 +564,15 @@ class RecoveryPolicy {
            const Settle& settle, PhaseClock::Shard* shard)
       PASJOIN_EXCLUDES(mu_) {
     const int i = attempt.index;
-    const bool straggler = injector_.IsStraggler(phase_, i, attempt.number);
+    const bool straggler =
+        !attempt.backup && injector_.IsStraggler(phase_, i, attempt.number);
     // An attempt gets its own heartbeat (token + progress cell) only when
     // something may have to stop it alone: the watchdog, or a sibling's
     // commit ending a straggler or a re-execution. Others poll the job
     // token.
     std::shared_ptr<TaskHeartbeat> heartbeat;
-    if (straggler || attempt.number > 0 || job_.watchdog->stall_detection()) {
+    if (straggler || attempt.number > 0 || attempt.backup ||
+        job_.watchdog->stall_detection()) {
       heartbeat = std::make_shared<TaskHeartbeat>(job_.token, task_name_, i);
       {
         MutexLock lock(&mu_);
@@ -719,10 +597,13 @@ class RecoveryPolicy {
         heartbeat != nullptr ? heartbeat->token() : job_.token;
     Outcome outcome = Outcome::kSucceeded;
     std::string error;
-    if (lose_here_ && attempt.number == 0 && owner == lost_) {
+    // Backups run on healthy workers: no worker loss, no injected fault.
+    if (!attempt.backup && lose_here_ && attempt.number == 0 &&
+        owner == lost_) {
       outcome = Outcome::kFailed;
       error = "logical worker " + std::to_string(lost_) + " lost";
-    } else if (injector_.ShouldFail(phase_, i, attempt.number)) {
+    } else if (!attempt.backup &&
+               injector_.ShouldFail(phase_, i, attempt.number)) {
       outcome = Outcome::kFailed;
       error = "injected fault";
     } else if (straggler &&
@@ -803,10 +684,13 @@ class RecoveryPolicy {
     double backoff_seconds = 0.0;
   };
 
-  void Launch(int i, double backoff_seconds, bool is_retry, Attempt* attempt)
-      PASJOIN_REQUIRES(mu_) {
+  void Launch(int i, double backoff_seconds, bool is_retry, bool backup,
+              Attempt* attempt) PASJOIN_REQUIRES(mu_) {
     AttemptState& st = states_[static_cast<size_t>(i)];
-    *attempt = Attempt{i, st.attempts++, backoff_seconds, is_retry};
+    // A backup shares the number of the chain attempt it backs up; only
+    // first attempts and retries advance the chain.
+    const int number = backup ? st.attempts - 1 : st.attempts++;
+    *attempt = Attempt{i, number, backoff_seconds, is_retry, backup};
     if (st.running++ == 0) {
       running_.push_back(i);
       st.started_at = watch_.ElapsedSeconds();
@@ -818,7 +702,7 @@ class RecoveryPolicy {
   int SpeculationCandidate(double now) PASJOIN_REQUIRES(mu_) {
     const size_t min_samples =
         std::max<size_t>(3, static_cast<size_t>(count_) / 4);
-    if (!options_.speculation || durations_.size() < min_samples) return -1;
+    if (!speculate_ || durations_.size() < min_samples) return -1;
     if (durations_.size() >= 2 * median_samples_) {
       std::vector<double> sorted = durations_;
       const auto mid = static_cast<std::ptrdiff_t>(sorted.size() / 2);
@@ -931,6 +815,7 @@ class RecoveryPolicy {
   const bool lose_here_;
   const int lost_;
   const int survivor_;
+  const bool speculate_;
   const Stopwatch watch_;
 
   Mutex mu_{"RecoveryPolicy::mu_", lockrank::kEnginePhaseState};
@@ -1103,66 +988,81 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
   const auto by_worker = [](int w) { return w; };
 
   // ---------------------------------------------------------------- map ---
-  // Each relation is divided into `num_splits` contiguous splits; split k is
-  // co-located with logical worker k % workers (its "HDFS block locality").
-  std::vector<MapTaskOutput> map_out(static_cast<size_t>(2 * num_splits));
+  // Pass 1 of the columnar shuffle, one task per input split: assign every
+  // tuple and count its instances per destination partition.
+  const int map_tasks = 2 * num_splits;
+  const auto split_of = [&](int task) {
+    return SplitOf(task, r, s, num_splits, workers);
+  };
+  const auto split_worker = [&](int task) {
+    return (task % num_splits) % workers;
+  };
+  std::vector<SplitAssignment> maps(static_cast<size_t>(map_tasks));
   PhaseClock map_clock(workers);
-  PASJOIN_RETURN_NOT_OK(RunSlotPhase(
-      &job, Phase::kMap, &map_clock,
-      [&](int task) { return (task % num_splits) % workers; }, &map_out,
-      [&](int task, const spatial::KernelCancellation* cancel) {
-        return ComputeMapTask(task, r, s, assign, owner, options, num_splits,
-                              workers, cancel);
+  PASJOIN_RETURN_NOT_OK(RunStealPhase(
+      &job, Phase::kMap, map_tasks, /*grain=*/1, &map_clock, split_worker,
+      [] { return MapScratch{}; },
+      [&](int task, MapScratch& scratch,
+          const spatial::KernelCancellation* cancel) {
+        AssignSplit(split_of(task), assign, options.carry_payloads, &scratch,
+                    cancel);
       },
-      &measured_construction));
+      [&](int task, MapScratch& scratch, bool commit) {
+        if (commit) maps[static_cast<size_t>(task)] = std::move(scratch.out);
+      },
+      [](MapScratch&) {}, &measured_construction));
   // Counters fold at the phase boundary, never per tuple
   // (docs/OBSERVABILITY.md).
-  for (size_t task = 0; task < map_out.size(); ++task) {
-    const MapTaskOutput& out = map_out[task];
+  for (size_t task = 0; task < maps.size(); ++task) {
+    const SplitAssignment& map = maps[task];
+    if (!map.error.empty()) return Status::InvalidArgument(map.error);
     reg->Add(task < static_cast<size_t>(num_splits) ? "replicated_r"
                                                     : "replicated_s",
-             out.replicated);
-    reg->Add("shuffled_tuples", out.shuffled_tuples);
-    reg->Add("shuffle_bytes", out.shuffle_bytes);
-    reg->Add("shuffle_remote_bytes", out.remote_bytes);
+             map.replicated);
+    reg->Add("shuffled_tuples", map.parts.size());
+    reg->Add("shuffle_bytes", map.shuffle_bytes);
   }
+  Result<ShuffleLayout> laid_out =
+      LayOutShuffle(&maps, owner, workers, num_splits);
+  if (!laid_out.ok()) return laid_out.status();
+  const ShuffleLayout layout = laid_out.MoveValue();
+  reg->Add("shuffle_remote_bytes", layout.remote_bytes);
 
   // ------------------------------------------------------------ regroup ---
-  // Each worker gathers its inbound tuples into per-partition buffers. With
-  // recovery on, the map outputs are the retained input every re-execution
-  // recovers from, so they are copied and stay alive until the join phase
-  // has fully committed.
-  std::vector<Store> stores(static_cast<size_t>(workers));
+  // Pass 2, again one task per split: scatter id/x/y (and payload bytes)
+  // into the per-partition columns. Each task writes only its own disjoint
+  // ranges, in place, which is why the recovery policy never backs up a
+  // regroup task.
+  const bool carry = options.carry_payloads;
+  ShuffleColumns cols(layout, carry);
   PhaseClock regroup_clock(workers);
-  PASJOIN_RETURN_NOT_OK(RunSlotPhase(
-      &job, Phase::kRegroup, &regroup_clock, by_worker, &stores,
-      [&](int w, const spatial::KernelCancellation* cancel) {
-        Store store;
-        RegroupWorker(w, &map_out, recovering, &store, cancel);
-        return store;
+  PASJOIN_RETURN_NOT_OK(RunStealPhase(
+      &job, Phase::kRegroup, map_tasks, /*grain=*/1, &regroup_clock,
+      split_worker,
+      [&] {
+        return ScatterScratch{std::vector<uint64_t>(layout.num_partitions),
+                              std::vector<uint64_t>(layout.num_partitions)};
       },
+      [&](int task, ScatterScratch& scratch,
+          const spatial::KernelCancellation* cancel) {
+        cols.Scatter(split_of(task), maps[static_cast<size_t>(task)],
+                     &scratch, cancel);
+      },
+      [](int, ScatterScratch&, bool) {}, [](ScatterScratch&) {},
       &measured_construction));
+  // Without recovery nothing reads the pass-1 outputs again.
+  if (!recovering) std::vector<SplitAssignment>().swap(maps);
 
   // --------------------------------------------------------------- join ---
   // The stolen unit is one (worker, partition) pair, not one worker: LPT
   // placement decides which logical worker OWNS a partition (lineage,
-  // accounting, trace track), stealing decides which thread JOINS it. The
-  // item list is deterministic — per worker, partitions sorted by id — so
-  // results never depend on hash-map iteration or claim order.
+  // accounting, trace track), stealing decides which thread JOINS it. Items
+  // follow the column layout — per worker, partitions by id — so results
+  // never depend on claim order.
   const bool keep_pairs = options.collect_results || options.deduplicate;
-  std::vector<JoinItem> join_items;
-  for (int w = 0; w < workers; ++w) {
-    Store& store = stores[static_cast<size_t>(w)];
-    const size_t first = join_items.size();
-    for (auto& [part, buf] : store) {
-      if (buf.r.empty() || buf.s.empty()) continue;
-      join_items.push_back(JoinItem{w, part, &buf});
-    }
-    std::sort(join_items.begin() + static_cast<std::ptrdiff_t>(first),
-              join_items.end(),
-              [](const JoinItem& a, const JoinItem& b) {
-                return a.part < b.part;
-              });
+  std::vector<const PartitionSlot*> join_items;
+  for (const PartitionSlot& slot : layout.slots) {
+    if (slot.r > 0 && slot.s > 0) join_items.push_back(&slot);
   }
   // Targeted failures strike the named partition's own join item. All
   // runners of the previous phases have returned, so registering now
@@ -1170,18 +1070,17 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
   const std::vector<int32_t>& fail_partitions = options.fault.fail_partitions;
   for (size_t i = 0; recovering && i < join_items.size(); ++i) {
     if (std::find(fail_partitions.begin(), fail_partitions.end(),
-                  join_items[i].part) != fail_partitions.end()) {
+                  join_items[i]->part) != fail_partitions.end()) {
       injector.AddTargetedFailure(Phase::kJoin, static_cast<int>(i));
     }
   }
-  // A worker lost in the join phase takes its partition buffers with it;
-  // its items rebuild them from lineage, one partition per attempt.
+  // A worker lost in the join phase takes its partitions' columns with it;
+  // its items rebuild each partition from lineage, one per attempt.
   const int lost = options.fault.lost_worker;
   const bool rebuild = recovering && injector.LosesWorkerIn(Phase::kJoin);
   if (rebuild) {
-    for (auto& [part, buf] : stores[static_cast<size_t>(lost)]) {
-      std::vector<Tuple>().swap(buf.r);
-      std::vector<Tuple>().swap(buf.s);
+    for (const PartitionSlot& slot : layout.slots) {
+      if (slot.worker == lost) cols.Drop(slot);
     }
   }
   std::vector<WorkerMergeSlot> merge_slots(static_cast<size_t>(workers));
@@ -1191,45 +1090,37 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
     PASJOIN_RETURN_NOT_OK(RunStealPhase(
         &job, Phase::kJoin, item_count,
         StealQueue::DefaultGrain(item_count, pool.num_threads()), &join_clock,
-        [&](int i) { return join_items[static_cast<size_t>(i)].worker; },
+        [&](int i) { return join_items[static_cast<size_t>(i)]->worker; },
         [&] { return JoinThreadState(workers); },
         [&](int i, JoinThreadState& state,
             const spatial::KernelCancellation* cancel) {
-          const JoinItem& item = join_items[static_cast<size_t>(i)];
+          const PartitionSlot& slot = *join_items[static_cast<size_t>(i)];
           JoinThreadState::WorkerAcc& acc =
-              state.acc[static_cast<size_t>(item.worker)];
+              state.acc[static_cast<size_t>(slot.worker)];
           state.undo_pairs = acc.pairs.size();
           state.undo_totals = acc.totals;
-          PartitionBuffers* buf = item.buf;
-          if (rebuild && item.worker == lost) {
+          PartitionView view = cols.View(slot);
+          if (rebuild && slot.worker == lost) {
             obs::ScopedSpan rebuild_span(trace, "fault-rebuild", "fault");
-            rebuild_span.AddArg("worker", item.worker);
-            rebuild_span.AddArg("cell", item.part);
-            RebuildPartition(item.worker, item.part, buf->lineage, map_out,
-                             &state.private_buf);
-            buf = &state.private_buf;
-          } else if (recovering && !kernel.use_soa) {
-            // Generic kernels may reorder their input, and a speculative
-            // sibling may be reading the same buffers.
-            state.private_buf.r = buf->r;
-            state.private_buf.s = buf->s;
-            buf = &state.private_buf;
+            rebuild_span.AddArg("worker", slot.worker);
+            rebuild_span.AddArg("cell", slot.part);
+            RebuildPartition(slot.part, maps, r, s, num_splits, workers,
+                             carry, &state.rebuilt);
+            view = state.rebuilt.View(carry);
           }
-          JoinSinglePartition(item.part, buf, options, kernel, keep_pairs,
+          JoinSinglePartition(slot.part, view, options, kernel, keep_pairs,
                               &state, &acc, trace, cancel);
         },
         [&](int i, JoinThreadState& state, bool commit) {
-          const JoinItem& item = join_items[static_cast<size_t>(i)];
-          JoinThreadState::WorkerAcc& acc =
-              state.acc[static_cast<size_t>(item.worker)];
+          const int w = join_items[static_cast<size_t>(i)]->worker;
+          JoinThreadState::WorkerAcc& acc = state.acc[static_cast<size_t>(w)];
           if (!commit) {
             acc.pairs.resize(state.undo_pairs);
             acc.totals = state.undo_totals;
             return;
           }
           if (acc.pairs.size() >= kPairFlushThreshold) {
-            FlushWorkerAcc(&acc,
-                           &merge_slots[static_cast<size_t>(item.worker)]);
+            FlushWorkerAcc(&acc, &merge_slots[static_cast<size_t>(w)]);
           }
         },
         [&](JoinThreadState& state) {
@@ -1259,9 +1150,8 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
     reg->Add("partitions_joined", totals.partitions);
   }
   join_items.clear();
-  stores.clear();
-  map_out.clear();
-  map_out.shrink_to_fit();
+  cols = ShuffleColumns{};
+  std::vector<SplitAssignment>().swap(maps);
 
   // -------------------------------------------------------------- dedup ---
   // Parallel distinct over the produced pairs (the paper's non-duplicate-

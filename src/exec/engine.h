@@ -5,7 +5,9 @@
 // algorithm in this repository:
 //
 //   input splits --map--> (partition, tuple) --shuffle--> per-partition
-//   buffers --local join--> result pairs [--distinct--> deduplicated pairs]
+//   columns --local join--> result pairs [--distinct--> deduplicated pairs]
+//
+// The shuffle is columnar and count-then-scatter (exec/shuffle.h).
 //
 // The engine is algorithm-agnostic: callers supply the partition-assignment
 // function (adaptive replication, PBSM replication, quadtree, ...), the
@@ -47,7 +49,10 @@ namespace pasjoin::exec {
 using PartitionId = int32_t;
 
 /// Partition assignment of one tuple; entry 0 is the native partition,
-/// further entries are replicas.
+/// further entries are replicas. Ids must be non-negative (a run that sees
+/// a negative id or an empty list fails with kInvalidArgument), and should
+/// be dense — grid cells, quadtree leaves — because the shuffle sizes its
+/// per-partition arrays by the largest id.
 using PartitionList = SmallVector<PartitionId, 4>;
 
 /// Maps a tuple of relation `Side` to its partitions.

@@ -41,10 +41,10 @@ const char* PhaseName(Phase phase);
 /// the recovery policy applied by the engine).
 struct FaultOptions {
   /// Master switch of the recovery policy of the engine's phase runner.
-  /// When true every task keeps attempt state, the map outputs are retained
-  /// as lineage, and the fields below apply. When false every task runs
-  /// exactly once, no attempt state, heartbeat or retained input is
-  /// allocated, and none of the remaining fields are consulted.
+  /// When true every task keeps attempt state, the pass-1 shuffle outputs
+  /// are retained as lineage, and the fields below apply. When false every
+  /// task runs exactly once, no attempt state, heartbeat or retained input
+  /// is allocated, and none of the remaining fields are consulted.
   bool enabled = false;
 
   /// Seed of every injection decision. Decisions are a deterministic
@@ -54,7 +54,7 @@ struct FaultOptions {
 
   // --- injected task failures ----------------------------------------------
   /// Per-phase probability that a task attempt fails (applies to first
-  /// attempts, retries, and speculative copies alike).
+  /// attempts and retries; speculative backups never draw a failure).
   double map_failure_p = 0.0;
   double regroup_failure_p = 0.0;
   double join_failure_p = 0.0;
@@ -125,7 +125,8 @@ class FaultInjector {
   const FaultOptions& options() const { return options_; }
 
   /// True when attempt `attempt` of task `task` in `phase` must fail
-  /// (probabilistic or targeted).
+  /// (probabilistic or targeted). `attempt` is the position in the task's
+  /// retry chain (0 = first attempt); the engine never asks for backups.
   bool ShouldFail(Phase phase, int task, int attempt) const;
 
   /// True when the attempt is an injected straggler. Only first attempts

@@ -3,7 +3,7 @@
 // A chunked work-stealing index scheduler (docs/PARALLELISM.md).
 //
 // The engine's phases are loops over an index range [0, count): map tasks,
-// regrouped workers, (worker, partition) join items, dedup buckets. To run
+// scatter tasks, (worker, partition) join items, dedup buckets. To run
 // such a loop across all host cores without a central locked queue, the
 // range is pre-split into one contiguous slice per claimant ("shard"); a
 // claimant first drains its own slice in grain-sized blocks and then steals

@@ -117,14 +117,17 @@ Status ThreadPool::Wait(const CancellationToken& cancel) {
   bool cancelled = false;
   {
     MutexLock lock(&mu_);
-    while (!(queue_.empty() && in_flight_ == 0)) {
+    // The token is checked before the completion test, so a token that is
+    // already cancelled always reports its status — even when every task
+    // finished before this call looked.
+    for (;;) {
       if (!cancelled && cancel.IsCancelled()) {
         cancelled = true;
         // Drop queued-but-unstarted tasks; running ones drain below (they
         // see the same token at their own poll points).
         queue_.clear();
-        continue;
       }
+      if (queue_.empty() && in_flight_ == 0) break;
       all_done_.WaitFor(&mu_, kCancelWakeBackstop);
     }
     error = std::exchange(first_error_, nullptr);

@@ -60,7 +60,9 @@ class ThreadPool {
   /// completion (they observe the same token at their own poll points),
   /// and the token's status (kCancelled / kDeadlineExceeded) is returned.
   /// Task exceptions are reported exactly like Wait() — rethrown even when
-  /// the wait was cancelled. Returns OK when all tasks completed.
+  /// the wait was cancelled. Returns OK when all tasks completed and the
+  /// token had not fired; a token cancelled before or during the wait
+  /// always yields its status, even if every task already finished.
   ///
   /// Cancellation latency is signal-delivery latency, not a poll period:
   /// the wait registers a callback on the token that wakes it directly, so

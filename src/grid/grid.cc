@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "common/macros.h"
 
@@ -23,6 +24,34 @@ Grid::Grid(const Rect& mbr, double eps, int nx, int ny)
       cell_w_(mbr.Width() / nx),
       cell_h_(mbr.Height() / ny) {}
 
+namespace {
+
+/// Cells along one axis of `extent` for a target cell side, at least 1.
+/// Fails once the count cannot be a grid axis (the floor would overflow
+/// int, or the total passes kMaxCells) instead of casting an out-of-range
+/// double, which is undefined behavior.
+Result<int> CellsAlong(double extent, double target) {
+  const double cells = std::floor(extent / target);
+  if (!(cells <= static_cast<double>(kMaxCells))) {
+    return Status::ResourceExhausted(
+        "grid too fine: " + std::to_string(cells) +
+        " cells along one axis (eps too small for the MBR)");
+  }
+  return std::max(1, static_cast<int>(cells));
+}
+
+Status CheckCellCount(int nx, int ny) {
+  if (int64_t{nx} * ny > kMaxCells) {
+    return Status::ResourceExhausted(
+        "grid of " + std::to_string(nx) + " x " + std::to_string(ny) +
+        " cells exceeds the " + std::to_string(kMaxCells) +
+        "-cell limit of 32-bit cell ids (eps too small for the MBR)");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<Grid> Grid::Make(const Rect& mbr, double eps, double resolution_factor) {
   if (!(eps > 0.0)) {
     return Status::InvalidArgument("eps must be positive");
@@ -36,8 +65,12 @@ Result<Grid> Grid::Make(const Rect& mbr, double eps, double resolution_factor) {
         "resolution factor must be >= 2 (cells must exceed 2*eps, Sect. 4.1)");
   }
   const double target = resolution_factor * eps;
-  int nx = std::max(1, static_cast<int>(std::floor(mbr.Width() / target)));
-  int ny = std::max(1, static_cast<int>(std::floor(mbr.Height() / target)));
+  Result<int> cells_x = CellsAlong(mbr.Width(), target);
+  if (!cells_x.ok()) return cells_x.status();
+  Result<int> cells_y = CellsAlong(mbr.Height(), target);
+  if (!cells_y.ok()) return cells_y.status();
+  int nx = cells_x.value();
+  int ny = cells_y.value();
   // The paper requires cell sides *strictly* greater than 2*eps; shrink the
   // cell count until that holds (relevant when the MBR divides exactly).
   while (nx > 1 && mbr.Width() / nx <= 2.0 * eps) --nx;
@@ -46,6 +79,7 @@ Result<Grid> Grid::Make(const Rect& mbr, double eps, double resolution_factor) {
     return Status::InvalidArgument(
         "MBR too small relative to eps: cannot build cells larger than 2*eps");
   }
+  PASJOIN_RETURN_NOT_OK(CheckCellCount(nx, ny));
   return Grid(mbr, eps, nx, ny);
 }
 
@@ -62,9 +96,12 @@ Result<Grid> Grid::MakeForBaseline(const Rect& mbr, double eps,
     return Status::InvalidArgument("resolution factor must be positive");
   }
   const double target = resolution_factor * eps;
-  const int nx = std::max(1, static_cast<int>(std::floor(mbr.Width() / target)));
-  const int ny = std::max(1, static_cast<int>(std::floor(mbr.Height() / target)));
-  return Grid(mbr, eps, nx, ny);
+  Result<int> nx = CellsAlong(mbr.Width(), target);
+  if (!nx.ok()) return nx.status();
+  Result<int> ny = CellsAlong(mbr.Height(), target);
+  if (!ny.ok()) return ny.status();
+  PASJOIN_RETURN_NOT_OK(CheckCellCount(nx.value(), ny.value()));
+  return Grid(mbr, eps, nx.value(), ny.value());
 }
 
 CellId Grid::Locate(const Point& p) const {

@@ -18,6 +18,7 @@
 #ifndef PASJOIN_GRID_GRID_H_
 #define PASJOIN_GRID_GRID_H_
 
+#include <climits>
 #include <cstdint>
 #include <string>
 
@@ -34,6 +35,10 @@ using QuartetId = int32_t;
 
 /// Sentinel for "no cell" / "no quartet".
 inline constexpr int32_t kInvalidId = -1;
+
+/// Most cells a grid may have: every CellId (and the engine's PartitionId)
+/// is a 32-bit index.
+inline constexpr int64_t kMaxCells = INT32_MAX;
 
 /// Positions of the four cells of a quartet, viewed from the reference point.
 enum QuartetCell : int {
@@ -79,7 +84,8 @@ class Grid {
   /// grid-resolution knob (Figure 15 sweeps 2..5).
   ///
   /// Fails with InvalidArgument for non-positive eps, empty MBRs, or
-  /// factor < 2.
+  /// factor < 2, and with ResourceExhausted when the grid would have more
+  /// than kMaxCells cells (eps tiny against the MBR).
   [[nodiscard]] static Result<Grid> Make(const Rect& mbr, double eps,
                                          double resolution_factor = 2.0);
 
@@ -90,13 +96,14 @@ class Grid {
   [[nodiscard]] static Result<Grid> MakeForBaseline(
       const Rect& mbr, double eps, double resolution_factor);
 
-  /// Number of cells along x / y and in total.
+  /// Number of cells along x / y and in total. The factories guarantee
+  /// num_cells() <= kMaxCells, so every CellId fits in 32 bits.
   int nx() const { return nx_; }
   int ny() const { return ny_; }
-  int num_cells() const { return nx_ * ny_; }
+  int64_t num_cells() const { return int64_t{nx_} * ny_; }
 
   /// Number of interior corners, i.e. quartets: (nx-1) * (ny-1).
-  int num_quartets() const { return (nx_ - 1) * (ny_ - 1); }
+  int64_t num_quartets() const { return int64_t{nx_ - 1} * (ny_ - 1); }
 
   double eps() const { return eps_; }
   double cell_width() const { return cell_w_; }

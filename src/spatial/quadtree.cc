@@ -2,15 +2,31 @@
 #include "spatial/quadtree.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/macros.h"
 
 namespace pasjoin::spatial {
 
+Result<QuadTreePartitioner> QuadTreePartitioner::Make(
+    const Rect& bounds, const std::vector<Point>& sample,
+    const QuadTreeOptions& options) {
+  if (options.max_items_per_node <= 0) {
+    return Status::InvalidArgument("quadtree max_items_per_node must be > 0");
+  }
+  if (options.max_depth < 0 || options.max_depth > kMaxDepth) {
+    return Status::InvalidArgument(
+        "quadtree max_depth must be in [0, " + std::to_string(kMaxDepth) +
+        "] so that every leaf id fits a 32-bit partition id");
+  }
+  return QuadTreePartitioner(bounds, sample, options);
+}
+
 QuadTreePartitioner::QuadTreePartitioner(const Rect& bounds,
                                          const std::vector<Point>& sample,
                                          const QuadTreeOptions& options) {
   PASJOIN_CHECK(options.max_items_per_node > 0);
+  PASJOIN_CHECK(options.max_depth >= 0 && options.max_depth <= kMaxDepth);
   nodes_.push_back(Node{bounds, -1, -1, 0});
   std::vector<Point> pts = sample;
   Build(0, std::move(pts), 0, options);

@@ -12,6 +12,7 @@
 
 #include "common/geometry.h"
 #include "common/small_vector.h"
+#include "common/status.h"
 
 namespace pasjoin::spatial {
 
@@ -26,7 +27,18 @@ struct QuadTreeOptions {
 /// A quadtree whose leaves define space partitions.
 class QuadTreePartitioner {
  public:
-  /// Builds the tree over `sample` within `bounds`.
+  /// Deepest tree the factory accepts: 4^15 leaves still fit the engine's
+  /// 32-bit PartitionId.
+  static constexpr int kMaxDepth = 15;
+
+  /// Builds the tree over `sample` within `bounds`. Fails with
+  /// InvalidArgument unless max_items_per_node > 0 and max_depth is in
+  /// [0, kMaxDepth], so every leaf id fits a PartitionId.
+  [[nodiscard]] static Result<QuadTreePartitioner> Make(
+      const Rect& bounds, const std::vector<Point>& sample,
+      const QuadTreeOptions& options = {});
+
+  /// As Make, for options known to be valid (checked; aborts otherwise).
   QuadTreePartitioner(const Rect& bounds, const std::vector<Point>& sample,
                       const QuadTreeOptions& options = {});
 

@@ -42,29 +42,50 @@ void SoaPartition::LoadSorted(const std::vector<Tuple>& tuples,
   obs::ScopedSpan span(trace, "kernel-sort", "kernel");
   span.AddArg("points", static_cast<int64_t>(tuples.size()));
   Stopwatch watch;
+  // Strip the 56-byte Tuples into dense scratch columns in one streaming
+  // read; the sort and the gather never touch a Tuple (or its payload
+  // string) again.
   const size_t n = tuples.size();
-  PASJOIN_DCHECK(n <= 0xffffffffu);
-  // Pass 1 (sequential): strip the 56-byte Tuples into dense scratch
-  // columns and {x-bits, index} sort keys in one streaming read. The sort
-  // and the gather below then never touch a Tuple (or its payload string)
-  // again — random accesses hit the compact 8-byte columns, not the wide
-  // tuple array.
-  order_.clear();
-  order_.resize(n);
   x_scratch_.resize(n);
   y_scratch_.resize(n);
   id_scratch_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    x_scratch_[i] = tuples[i].pt.x;
+    y_scratch_[i] = tuples[i].pt.y;
+    id_scratch_[i] = tuples[i].id;
+  }
+  SortFrom(x_scratch_.data(), y_scratch_.data(), id_scratch_.data(), n);
+  if (timings != nullptr) timings->sort_seconds += watch.ElapsedSeconds();
+  loading_.store(false, std::memory_order_release);
+}
+
+void SoaPartition::LoadSorted(const double* x, const double* y,
+                              const int64_t* id, size_t n,
+                              KernelTimings* timings,
+                              obs::TraceRecorder* trace) {
+  PASJOIN_CHECK(!loading_.exchange(true, std::memory_order_acquire));
+  obs::ScopedSpan span(trace, "kernel-sort", "kernel");
+  span.AddArg("points", static_cast<int64_t>(n));
+  Stopwatch watch;
+  SortFrom(x, y, id, n);
+  if (timings != nullptr) timings->sort_seconds += watch.ElapsedSeconds();
+  loading_.store(false, std::memory_order_release);
+}
+
+void SoaPartition::SortFrom(const double* x, const double* y,
+                            const int64_t* id, size_t n) {
+  PASJOIN_DCHECK(n <= 0xffffffffu);
+  // Pass 1 (sequential): {x-bits, index} sort keys in one streaming read
+  // of the x column.
+  order_.clear();
+  order_.resize(n);
   const bool use_radix = n >= kRadixMinSize;
   if (use_radix) {
     histogram_.assign(4 * kRadixBuckets, 0u);
   }
   for (size_t i = 0; i < n; ++i) {
-    const Tuple& t = tuples[i];
-    const uint64_t bits = OrderedBits(t.pt.x);
+    const uint64_t bits = OrderedBits(x[i]);
     order_[i] = {bits, static_cast<uint32_t>(i)};
-    x_scratch_[i] = t.pt.x;
-    y_scratch_[i] = t.pt.y;
-    id_scratch_[i] = t.id;
     if (use_radix) {
       // All four digit histograms in this one streaming pass.
       ++histogram_[0 * kRadixBuckets + (bits & (kRadixBuckets - 1))];
@@ -107,18 +128,16 @@ void SoaPartition::LoadSorted(const std::vector<Tuple>& tuples,
     }
     if (src != &order_) order_.swap(order_scratch_);
   }
-  // Pass 2: sequential writes, random reads over the dense columns.
+  // Pass 2: sequential writes, random reads over the dense source columns.
   x_.resize(n);
   y_.resize(n);
   id_.resize(n);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t from = order_[i].second;
-    x_[i] = x_scratch_[from];
-    y_[i] = y_scratch_[from];
-    id_[i] = id_scratch_[from];
+    x_[i] = x[from];
+    y_[i] = y[from];
+    id_[i] = id[from];
   }
-  if (timings != nullptr) timings->sort_seconds += watch.ElapsedSeconds();
-  loading_.store(false, std::memory_order_release);
 }
 
 namespace {

@@ -15,7 +15,9 @@
 //     (x, y, id) sorted by x once per partition (SoaPartition::LoadSorted:
 //     an index sort over 16-byte {x-bits, idx} keys — introsort for small
 //     partitions, LSD radix sort above ~32k — followed by a gather over
-//     dense scratch columns, so the payload strings are never moved);
+//     dense source columns, so payload strings are never moved). The
+//     engine's shuffle already delivers each partition as columns, which
+//     the column overload sorts directly;
 //   * sliding-window sweep: R is walked in x order with monotone [lo, hi)
 //     window pointers into S, so every candidate pair is inspected exactly
 //     once and the per-pivot counting loop has a fixed trip count — no
@@ -104,6 +106,13 @@ class SoaPartition {
                   KernelTimings* timings = nullptr,
                   obs::TraceRecorder* trace = nullptr);
 
+  /// Same, from `n` points already in columns (x[i], y[i], id[i]), e.g.
+  /// one partition side of the engine's shuffle. Ties are broken by the
+  /// column index. The columns must not alias this instance's arrays.
+  void LoadSorted(const double* x, const double* y, const int64_t* id,
+                  size_t n, KernelTimings* timings = nullptr,
+                  obs::TraceRecorder* trace = nullptr);
+
   size_t size() const { return x_.size(); }
   bool empty() const { return x_.empty(); }
 
@@ -112,12 +121,16 @@ class SoaPartition {
   const std::vector<int64_t>& id() const { return id_; }
 
  private:
+  /// The index sort and gather shared by both LoadSorted overloads.
+  void SortFrom(const double* x, const double* y, const int64_t* id,
+                size_t n);
+
   std::vector<double> x_;
   std::vector<double> y_;
   std::vector<int64_t> id_;
   /// Scratch for the index sort ({order-preserving x bits, original index}
   /// keys, plus the radix sort's ping-pong buffer and histogram) and the
-  /// dense pre-gather columns (see LoadSorted).
+  /// dense columns a Tuple vector is stripped into (see LoadSorted).
   std::vector<std::pair<uint64_t, uint32_t>> order_;
   std::vector<std::pair<uint64_t, uint32_t>> order_scratch_;
   std::vector<uint32_t> histogram_;

@@ -310,7 +310,8 @@ TEST(AgreementGraphTest, ChunkedBuildMatchesSequentialBuild) {
     }
     for (QuartetId begin = 0; begin < g.num_quartets(); begin += 3) {
       chunked.MaterializeSubgraphRange(
-          stats, begin, std::min(g.num_quartets(), begin + 3));
+          stats, begin,
+          std::min(static_cast<QuartetId>(g.num_quartets()), begin + 3));
     }
     for (QuartetId q = 0; q < g.num_quartets(); ++q) {
       const QuartetSubgraph& sw = whole.Subgraph(q);
@@ -340,7 +341,7 @@ TEST(AgreementGraphTest, MarkQuartetsInAnyOrderMatchesSequentialMarking) {
     seq.RunDuplicateFreeMarking(order);
     AgreementGraph rev = AgreementGraph::Build(g, stats, Policy::kLPiB);
     rev.RandomizeForTesting(23);
-    for (QuartetId q = g.num_quartets() - 1; q >= 0; --q) {
+    for (auto q = static_cast<QuartetId>(g.num_quartets() - 1); q >= 0; --q) {
       rev.MarkQuartets(&q, 1, order);
     }
     rev.FinishMarking();

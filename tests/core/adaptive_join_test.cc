@@ -33,6 +33,24 @@ AdaptiveJoinOptions BaseOptions() {
   return options;
 }
 
+TEST(AdaptiveJoinTest, TooFineGridIsAStatusNotAThrow) {
+  // Regression: eps = 1e-4 over a ~100 x 100 MBR asks for 500000^2 cells;
+  // the join used to die with an uncaught std::bad_alloc.
+  Rng rng(5);
+  std::vector<Point> pts;
+  for (int i = 0; i < 200; ++i) {
+    pts.push_back(Point{rng.NextUniform(0, 100), rng.NextUniform(0, 100)});
+  }
+  const Dataset r = pasjoin::testing::MakeDataset(
+      std::vector<Point>(pts.begin(), pts.begin() + 100), 0, "R");
+  const Dataset s = pasjoin::testing::MakeDataset(
+      std::vector<Point>(pts.begin() + 100, pts.end()), 1000, "S");
+  AdaptiveJoinOptions options = BaseOptions();
+  options.eps = 1e-4;
+  const Result<exec::JoinRun> run = AdaptiveDistanceJoin(r, s, options);
+  EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
+}
+
 TEST(AdaptiveJoinTest, ValidatesOptions) {
   const Dataset r = SmallGaussian(100, 1);
   const Dataset s = SmallGaussian(100, 2);

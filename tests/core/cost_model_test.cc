@@ -188,7 +188,7 @@ TEST(CostModelTest, RangeApisMatchTheSequentialWholeGridResults) {
   const CostModel model(&setup.grid, &setup.stats);
   const AgreementGraph graph =
       AgreementGraph::Build(setup.grid, setup.stats, Policy::kLPiB);
-  const int cells = setup.grid.num_cells();
+  const auto cells = static_cast<int>(setup.grid.num_cells());
 
   // PerCellCandidatesRange over arbitrary chunk boundaries fills the same
   // slots as the whole-grid call.

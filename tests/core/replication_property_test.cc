@@ -39,7 +39,7 @@ std::map<ResultPair, int> PerCellPairs(const Grid& grid,
                                        const ReplicationAssigner& assigner,
                                        const Dataset& r, const Dataset& s,
                                        double eps) {
-  const int cells = grid.num_cells();
+  const auto cells = static_cast<int>(grid.num_cells());
   std::vector<std::vector<const Tuple*>> r_cells(cells), s_cells(cells);
   for (const Tuple& t : r.tuples) {
     const CellList assigned = assigner.Assign(t.pt, Side::kR);

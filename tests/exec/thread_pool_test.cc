@@ -198,6 +198,20 @@ TEST(ThreadPoolCancelTest, CancelledWaitReturnsDeadlineCode) {
   EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(ThreadPoolCancelTest, DrainedPoolStillReportsCancelledToken) {
+  // Deterministic form of the race above: every task has finished before
+  // Wait(token) looks, and the token was cancelled in between. The wait
+  // must still report the token's status, never OK.
+  ThreadPool pool(1);
+  CancellationSource source;
+  pool.Submit([] {});
+  pool.Wait();
+  source.Cancel(StatusCode::kDeadlineExceeded, "too slow");
+  const Status st = pool.Wait(source.token());
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+}
+
 TEST(ThreadPoolCancelTest, TaskErrorsAreRethrownEvenWhenCancelled) {
   ThreadPool pool(1);
   CancellationSource source;

@@ -192,6 +192,38 @@ TEST(GridTest, SingleRowGridHasNoQuartets) {
   EXPECT_EQ(g.value().num_quartets(), 0);
 }
 
+TEST(GridMakeTest, CellCountsAreSixtyFourBit) {
+  // 100 / (2 * 1.1e-3) = 45454 cells per axis: 2.07e9 cells, just inside
+  // the 32-bit id limit. The counts are computed without int overflow.
+  const Grid g = MakeGrid(100, 100, 1.1e-3, 2.0);
+  EXPECT_EQ(g.num_cells(), int64_t{g.nx()} * g.ny());
+  EXPECT_EQ(g.num_quartets(), int64_t{g.nx() - 1} * (g.ny() - 1));
+  EXPECT_GT(g.num_cells(), 2'000'000'000);
+  EXPECT_LE(g.num_cells(), kMaxCells);
+}
+
+TEST(GridMakeTest, RejectsGridsBeyondThirtyTwoBitCellIds) {
+  // Regression: eps = 1e-3 over a 100 x 100 MBR asks for 49999 x 49999
+  // cells; num_cells() used to overflow int and come out negative.
+  const Result<Grid> g = Grid::Make(Rect{0, 0, 100, 100}, 1e-3);
+  EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(Grid::MakeForBaseline(Rect{0, 0, 100, 100}, 1e-3, 1.0)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
+TEST(GridMakeTest, RejectsAxisCountsBeyondInt) {
+  // Regression: eps = 1e-9 makes W / target = 5e10, whose cast to int was
+  // undefined; it used to come out as a silent 1 x 1 grid.
+  const Result<Grid> g = Grid::Make(Rect{0, 0, 100, 100}, 1e-9);
+  EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(Grid::MakeForBaseline(Rect{0, 0, 100, 100}, 1e-9, 1.0)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+}
+
 TEST(GridTest, ToStringMentionsShape) {
   const Grid g = MakeGrid(10, 10, 1.0, 2.0);
   EXPECT_NE(g.ToString().find("grid 4x4"), std::string::npos);

@@ -108,5 +108,21 @@ TEST(QuadTreeTest, SkewedSampleProducesSkewedLeaves) {
   EXPECT_LT(min_area * 100, max_area);
 }
 
+TEST(QuadTreeTest, FactoryRejectsTreesBeyondThirtyTwoBitLeafIds) {
+  const Rect box{0, 0, 100, 100};
+  const std::vector<Point> sample = RandomPoints(100, 29, box);
+  QuadTreeOptions options;
+  EXPECT_TRUE(QuadTreePartitioner::Make(box, sample, options).ok());
+  options.max_depth = QuadTreePartitioner::kMaxDepth + 1;
+  EXPECT_EQ(QuadTreePartitioner::Make(box, sample, options).status().code(),
+            StatusCode::kInvalidArgument);
+  options.max_depth = -1;
+  EXPECT_FALSE(QuadTreePartitioner::Make(box, sample, options).ok());
+  options = QuadTreeOptions{};
+  options.max_items_per_node = 0;
+  EXPECT_EQ(QuadTreePartitioner::Make(box, sample, options).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace pasjoin::spatial
