@@ -5,23 +5,18 @@
 
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "core/lpt_scheduler.h"
 
 namespace pasjoin::baselines {
 
 Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
                                              const SedonaOptions& options) {
-  if (!(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::CheckRunnable(options));
   if (r.tuples.empty() || s.tuples.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
   if (!(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
     return Status::InvalidArgument("sample rate must be in (0, 1]");
-  }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded("job deadline expired before the join");
   }
 
   Stopwatch driver;
@@ -32,9 +27,9 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
   }
 
   // The set with the fewest objects is both sampled for the partitioning
-  // structure and replicated (Section 7.1); the larger set is indexed.
+  // structure and replicated (Section 7.1); the engine's R-tree kernel
+  // indexes the other, larger set.
   const Side replicated = r.tuples.size() <= s.tuples.size() ? Side::kR : Side::kS;
-  const Side indexed = OtherSide(replicated);
   const Dataset& smaller = replicated == Side::kR ? r : s;
 
   std::vector<Point> sample;
@@ -51,10 +46,8 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
   }
   spatial::QuadTreeOptions quadtree = options.quadtree;
   if (!options.fixed_capacity) {
-    const int target = options.target_partitions > 0 ? options.target_partitions
-                                                     : 4 * options.workers;
     quadtree.max_items_per_node = std::max<int>(
-        1, static_cast<int>(sample.size()) / std::max(1, target));
+        1, static_cast<int>(sample.size()) / (4 * options.workers));
   }
   Result<spatial::QuadTreePartitioner> built = [&] {
     obs::ScopedSpan span(trace, "driver-quadtree", "driver");
@@ -85,52 +78,14 @@ Result<exec::JoinRun> SedonaLikeDistanceJoin(const Dataset& r, const Dataset& s,
     return out;
   };
 
-  const int workers = options.workers;
-  exec::OwnerFn owner = [workers](exec::PartitionId p) {
-    return static_cast<int>(static_cast<uint32_t>(p) %
-                            static_cast<uint32_t>(workers));
-  };
-
-  exec::EngineOptions engine_options;
-  engine_options.eps = options.eps;
-  engine_options.workers = options.workers;
-  engine_options.num_splits = options.num_splits;
-  engine_options.collect_results = options.collect_results;
-  engine_options.carry_payloads = options.carry_payloads;
-  engine_options.physical_threads = options.physical_threads;
-  engine_options.local_kernel = options.local_kernel;
-  engine_options.fault = options.fault;
-  engine_options.cancel = options.cancel;
-  engine_options.deadline = options.deadline;
-  engine_options.watchdog = options.watchdog;
+  exec::EngineOptions engine_options(options);
   engine_options.bounds = mbr;
-  engine_options.trace = trace;
-
-  // The R-tree default pins the indexed side to the globally larger set
-  // (Sedona's setup) via an explicit LocalJoinFn; any other selection goes
-  // through the engine's kernel dispatch (e.g. the SoA sweep fast path).
-  exec::LocalJoinFn local_join;
-  if (options.local_kernel == spatial::LocalJoinKernel::kRTree) {
-    local_join = exec::RTreeProbeLocalJoinIndexing(indexed);
-  }
-  Result<exec::JoinRun> run_result =
-      exec::TryRunPartitionedJoin(r, s, assign, owner, engine_options,
-                                  local_join);
-  if (!run_result.ok()) return run_result.status();
-  exec::JoinRun run = run_result.MoveValue();
-  if (local_join) {
-    // The engine saw an opaque LocalJoinFn; name the kernel it wrapped.
-    run.metrics.local_kernel =
-        spatial::LocalJoinKernelName(spatial::LocalJoinKernel::kRTree);
-  }
-  run.metrics.algorithm = "Sedona";
-  run.metrics.construction_seconds += driver_seconds;
-  run.metrics.measured_construction_seconds += driver_seconds;
-  if (trace != nullptr) {
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(run.metrics, &trace->counters());
-  }
-  return run;
+  return exec::FinishDriverRun(
+      exec::TryRunPartitionedJoin(
+          r, s, assign,
+          core::CellAssignment::Hash(options.workers).AsOwnerFn(),
+          engine_options),
+      "Sedona", driver_seconds, 0.0, trace);
 }
 
 }  // namespace pasjoin::baselines

@@ -7,64 +7,44 @@
 //   2. assignment: the sampled (smaller) set is replicated to every leaf its
 //      eps-expanded envelope intersects; the other set is single-assigned;
 //   3. per-partition indexing + join: an R-tree is built on the set with the
-//      most points and probed with eps-range queries from the other set.
+//      most points and probed with eps-range queries from the other set
+//      (the engine's LocalJoinKernel::kRTree, which indexes exactly that
+//      set).
 #ifndef PASJOIN_BASELINES_SEDONA_LIKE_H_
 #define PASJOIN_BASELINES_SEDONA_LIKE_H_
 
 #include <cstdint>
 
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/tuple.h"
 #include "exec/engine.h"
-#include "exec/watchdog.h"
 #include "spatial/quadtree.h"
 
 namespace pasjoin::baselines {
 
-/// Sedona-like join configuration.
-struct SedonaOptions {
-  double eps = 0.0;
+/// Sedona-like join configuration: the shared execution options
+/// (exec/engine.h) plus the partitioning knobs. Like Spark/Sedona, the
+/// partition count tracks cluster parallelism rather than data size: the
+/// quadtree aims at 4 * workers leaves, which yields the large partitions
+/// the paper observes (Section 7.2.1).
+struct SedonaOptions : exec::ExecutionOptions {
+  /// The R-tree probe — Sedona's own per-partition strategy (index the
+  /// globally larger set, probe with the other) — for baseline fidelity;
+  /// select kSweepSoA to give this baseline the engine's fast kernel too.
+  SedonaOptions() { local_kernel = spatial::LocalJoinKernel::kRTree; }
+
   /// Sampling rate for building the QuadTree on the driver.
   double sample_rate = 0.03;
   uint64_t sample_seed = 0x5a5a5a5a;
-  /// Approximate number of leaf partitions to build. Like Spark/Sedona, the
-  /// partition count tracks cluster parallelism rather than data size, which
-  /// yields the large partitions the paper observes (Section 7.2.1); the
-  /// quadtree leaf capacity is derived as sample_size / target_partitions.
-  /// 0 selects 4 * workers.
-  int target_partitions = 0;
   /// QuadTree build parameters. max_items_per_node (in *sample* points) is
-  /// only honored when `fixed_capacity` is true; otherwise it is derived
-  /// from target_partitions.
+  /// only honored when `fixed_capacity` is true; otherwise it is
+  /// sample_size / (4 * workers).
   spatial::QuadTreeOptions quadtree;
   bool fixed_capacity = false;
-  int workers = 12;
-  int num_splits = 0;
-  bool collect_results = false;
-  bool carry_payloads = true;
-  int physical_threads = 0;
-  /// Partition-level join kernel. Defaults to the R-tree probe — Sedona's
-  /// own per-partition strategy (index the globally larger set, probe with
-  /// the other) — for baseline fidelity; select kSweepSoA to give this
-  /// baseline the engine's fast kernel too.
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kRTree;
   /// Data-space MBR; computed from the inputs when unset. An explicit MBR
   /// also becomes the engine's declared bounds: points outside it are
   /// rejected instead of silently clamped into edge partitions.
   Rect mbr;
-  /// Fault injection + recovery policy, forwarded to the engine
-  /// (docs/FAULT_TOLERANCE.md). Off by default.
-  exec::FaultOptions fault;
-  /// External cancellation token (docs/CANCELLATION.md).
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md).
-  Deadline deadline;
-  /// Stuck-task watchdog policy, forwarded to the engine (exec/watchdog.h).
-  exec::WatchdogOptions watchdog;
-  /// Execution trace sink (docs/OBSERVABILITY.md); null disables tracing at
-  /// zero cost. Not owned.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Runs the Sedona-like eps-distance join.

@@ -17,18 +17,12 @@ namespace {
 Result<exec::JoinRun> RunAdaptiveJoin(const Dataset& r, const Dataset& s,
                                       const AdaptiveJoinOptions& options,
                                       AdaptiveJoinArtifacts* artifacts) {
-  if (!(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive");
-  }
+  PASJOIN_RETURN_NOT_OK(exec::CheckRunnable(options));
   if (r.tuples.empty() || s.tuples.empty()) {
     return Status::InvalidArgument("both join inputs must be non-empty");
   }
   if (!(options.sample_rate > 0.0 && options.sample_rate <= 1.0)) {
     return Status::InvalidArgument("sample rate must be in (0, 1]");
-  }
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded("job deadline expired before the join");
   }
 
   Stopwatch driver;
@@ -109,41 +103,16 @@ Result<exec::JoinRun> RunAdaptiveJoin(const Dataset& r, const Dataset& s,
     return assigner.Assign(t.pt, side);
   };
 
-  exec::EngineOptions engine_options;
-  engine_options.eps = options.eps;
-  engine_options.workers = options.workers;
-  engine_options.num_splits = options.num_splits;
-  engine_options.collect_results = options.collect_results;
+  exec::EngineOptions engine_options(options);
   engine_options.deduplicate = !options.duplicate_free;
-  engine_options.carry_payloads = options.carry_payloads;
-  engine_options.physical_threads = options.physical_threads;
-  engine_options.local_kernel = options.local_kernel;
-  engine_options.fault = options.fault;
-  engine_options.cancel = options.cancel;
-  engine_options.deadline = options.deadline;
-  engine_options.watchdog = options.watchdog;
   // The grid partitions exactly `mbr`; declaring it as the engine's bounds
   // turns silently-clamped out-of-space points into a kInvalidArgument.
   engine_options.bounds = mbr;
-  engine_options.trace = trace;
-
-  Result<exec::JoinRun> run_result = exec::TryRunPartitionedJoin(
-      r, s, assign, assignment.AsOwnerFn(), engine_options);
-  if (!run_result.ok()) return run_result.status();
-  exec::JoinRun run = run_result.MoveValue();
-  run.metrics.algorithm = agreements::PolicyName(options.policy);
-  run.metrics.construction_seconds += driver_seconds;
-  run.metrics.measured_construction_seconds += driver_seconds;
-  // Planning is a subset of the driver time already folded into
-  // construction; the break-out feeds trace validation and the bench gate.
-  run.metrics.measured_planning_seconds = planning_seconds;
-  if (trace != nullptr) {
-    // Re-publish the gauges: construction now includes the sequential
-    // driver time, which the engine could not see.
-    trace->counters().SetGauge("driver_seconds", driver_seconds);
-    exec::PublishMetricGauges(run.metrics, &trace->counters());
-  }
-  return run;
+  return exec::FinishDriverRun(
+      exec::TryRunPartitionedJoin(r, s, assign, assignment.AsOwnerFn(),
+                                  engine_options),
+      agreements::PolicyName(options.policy), driver_seconds, planning_seconds,
+      trace);
 }
 
 }  // namespace

@@ -10,57 +10,23 @@
 #ifndef PASJOIN_CORE_SELF_JOIN_H_
 #define PASJOIN_CORE_SELF_JOIN_H_
 
-#include <cstdint>
-
-#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/tuple.h"
-#include "core/planning.h"
 #include "exec/engine.h"
-#include "exec/watchdog.h"
 
 namespace pasjoin::core {
 
-/// Self-join configuration.
-struct SelfJoinOptions {
-  /// Join distance threshold (required, > 0).
-  double eps = 0.0;
+/// Self-join configuration: the shared execution options (exec/engine.h)
+/// plus the grid knobs. Cells are placed on workers by hash.
+struct SelfJoinOptions : exec::ExecutionOptions {
+  SelfJoinOptions() { workers = 8; }
+
   /// Cell side as a multiple of eps.
   double resolution_factor = 2.0;
-  int workers = 8;
-  int num_splits = 0;
-  /// Place cells on workers with LPT over sampled per-cell costs instead of
-  /// the default hash placement. Off by default (hash preserves the
-  /// historical behavior); results are identical either way — only the
-  /// cell-to-worker mapping moves.
-  bool use_lpt = false;
-  /// Sampling rate/seed for the LPT cost estimate (only read when use_lpt).
-  double lpt_sample_rate = 0.03;
-  uint64_t lpt_sample_seed = 0x5a5a5a5a;
-  /// Parallel-planning configuration (core/planning.h), used by the LPT
-  /// cost pass.
-  PlanningOptions planning;
-  bool collect_results = false;
-  bool carry_payloads = true;
-  int physical_threads = 0;
-  /// Partition-level join kernel (default: the SoA sweep fast path).
-  spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Data-space MBR; computed from the input when unset. An explicit MBR
   /// also becomes the engine's declared bounds: points outside it are
   /// rejected instead of silently clamped into edge cells.
   Rect mbr;
-  /// Fault injection + recovery policy, forwarded to the engine
-  /// (docs/FAULT_TOLERANCE.md). Off by default.
-  exec::FaultOptions fault;
-  /// External cancellation token (docs/CANCELLATION.md).
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md).
-  Deadline deadline;
-  /// Stuck-task watchdog policy, forwarded to the engine (exec/watchdog.h).
-  exec::WatchdogOptions watchdog;
-  /// Execution trace sink (docs/OBSERVABILITY.md); null disables tracing at
-  /// zero cost. Not owned.
-  obs::TraceRecorder* trace = nullptr;
 };
 
 /// Computes { (a, b) : a.id < b.id, d(a, b) <= eps } over `data`.

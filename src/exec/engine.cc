@@ -53,103 +53,12 @@
 
 namespace pasjoin::exec {
 
-LocalJoinFn PlaneSweepLocalJoin() {
-  return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-            const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    return spatial::PlaneSweepJoin(r, s, eps, emit);
-  };
-}
-
-LocalJoinFn NestedLoopLocalJoin() {
-  return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-            const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    return spatial::NestedLoopJoin(*r, *s, eps, emit);
-  };
-}
-
-namespace {
-
-spatial::JoinCounters RTreeProbe(std::vector<Tuple>* r, std::vector<Tuple>* s,
-                                 double eps, bool index_r,
-                                 const std::function<void(const Tuple&,
-                                                          const Tuple&)>& emit) {
-  spatial::JoinCounters counters;
-  if (r->empty() || s->empty()) return counters;
-  const std::vector<Tuple>& indexed = index_r ? *r : *s;
-  const std::vector<Tuple>& probes = index_r ? *s : *r;
-  spatial::RTree tree(indexed);
-  for (const Tuple& q : probes) {
-    counters.candidates += tree.RangeQuery(q.pt, eps, [&](const Tuple& hit) {
-      ++counters.results;
-      if (index_r) {
-        emit(hit, q);
-      } else {
-        emit(q, hit);
-      }
-    });
-  }
-  return counters;
-}
-
-}  // namespace
-
-LocalJoinFn RTreeProbeLocalJoin() {
-  return [](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-            const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    // Index the larger side, probe with the smaller.
-    return RTreeProbe(r, s, eps, r->size() >= s->size(), emit);
-  };
-}
-
-LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed) {
-  return [indexed](std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-                   const std::function<void(const Tuple&, const Tuple&)>& emit) {
-    return RTreeProbe(r, s, eps, indexed == Side::kR, emit);
-  };
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
 // Phase bodies. Each body is a pure function of retained inputs, which is
 // what makes re-execution safe.
 // ---------------------------------------------------------------------------
-
-/// The resolved local-join strategy of one run: either the native SoA sweep
-/// fast path (no per-pair std::function anywhere) or a type-erased
-/// LocalJoinFn (custom kernels and the legacy selections).
-struct KernelDispatch {
-  bool use_soa = true;
-  LocalJoinFn fn;  // empty when use_soa
-  const char* name = "sweep-soa";
-};
-
-KernelDispatch ResolveKernel(const EngineOptions& options,
-                             const LocalJoinFn& custom) {
-  KernelDispatch d;
-  if (custom) {
-    d.use_soa = false;
-    d.fn = custom;
-    d.name = "custom";
-    return d;
-  }
-  d.name = spatial::LocalJoinKernelName(options.local_kernel);
-  switch (options.local_kernel) {
-    case spatial::LocalJoinKernel::kSweepSoA:
-      return d;  // native fast path
-    case spatial::LocalJoinKernel::kPlaneSweep:
-      d.fn = PlaneSweepLocalJoin();
-      break;
-    case spatial::LocalJoinKernel::kNestedLoop:
-      d.fn = NestedLoopLocalJoin();
-      break;
-    case spatial::LocalJoinKernel::kRTree:
-      d.fn = RTreeProbeLocalJoin();
-      break;
-  }
-  d.use_soa = false;
-  return d;
-}
 
 /// The scalar join outputs of one logical worker (or of part of its items).
 struct JoinTotals {
@@ -189,49 +98,51 @@ struct JoinThreadState {
   /// attempt rolls back to it.
   size_t undo_pairs = 0;
   JoinTotals undo_totals;
-  /// The Tuples a type-erased kernel joins, materialized from the columns
-  /// per partition (the kernel may reorder them).
+  /// The Tuples a Tuple kernel (plane sweep, nested loop, R-tree) joins,
+  /// materialized from the columns per partition (it may reorder them).
   std::vector<Tuple> tuples_r;
   std::vector<Tuple> tuples_s;
   /// A partition rebuilt from lineage after its worker was lost.
   PartitionBuffer rebuilt;
 };
 
-/// Joins ONE partition, appending into `acc` (a runner's per-worker
-/// slice). The native SoA path sorts straight from the shuffle columns and
-/// polls `cancel` inside the sweep (kKernelPollGrain pivots), pulsing once
-/// per partition; type-erased kernels join runner-local Tuple copies and
-/// pulse their candidate count after the partition (their LocalJoinFn
-/// signature predates cancellation). The caller discards the output of a
-/// cancelled attempt.
+/// Joins ONE partition with options.local_kernel, appending into `acc` (a
+/// runner's per-worker slice). The SoA sweep sorts straight from the
+/// shuffle columns; the Tuple kernels join runner-local Tuple copies
+/// through a per-pair emit lambda. Every kernel pulses and polls `cancel`
+/// inside the partition (every kKernelPollGrain steps), and the partition
+/// boundary pulses once more. The R-tree indexes R only when `index_r`. The
+/// caller discards the output of a cancelled attempt.
 void JoinSinglePartition(PartitionId part, const PartitionView& v,
-                         const EngineOptions& options,
-                         const KernelDispatch& kernel, bool keep_pairs,
-                         JoinThreadState* scratch,
+                         const EngineOptions& options, bool index_r,
+                         bool keep_pairs, JoinThreadState* scratch,
                          JoinThreadState::WorkerAcc* acc,
                          obs::TraceRecorder* trace,
                          const spatial::KernelCancellation* cancel) {
+  const spatial::LocalJoinKernel kernel = options.local_kernel;
   const bool self_join = options.self_join;
+  const double eps = options.eps;
   std::vector<ResultPair>* const pairs = &acc->pairs;
   JoinTotals* const totals = &acc->totals;
   obs::ScopedSpan span(trace, "join-partition", "engine");
-  span.SetStringArg("kernel", kernel.name);
+  span.SetStringArg("kernel", spatial::LocalJoinKernelName(kernel));
   span.AddArg("cell", part);
   const spatial::JoinCounters before = totals->counters;
   ++totals->partitions;
   uint64_t* const filtered = &totals->filtered;
-  if (kernel.use_soa) {
+  if (kernel == spatial::LocalJoinKernel::kSweepSoA) {
     scratch->soa_r.LoadSorted(v.x, v.y, v.id, v.r, &totals->timings, trace);
     scratch->soa_s.LoadSorted(v.x + v.r, v.y + v.r, v.id + v.r, v.s,
                               &totals->timings, trace);
     if (self_join) {
       // The sweep sees every ordered match; keep r.id < s.id (each
       // unordered pair once) and count the rest so the phase total can be
-      // corrected, exactly like the generic path's emit wrapper.
+      // corrected, exactly like the Tuple kernels' emit lambda.
       scratch->self_scratch.clear();
-      totals->counters += spatial::SoaSweepJoin(
-          scratch->soa_r, scratch->soa_s, options.eps, &scratch->self_scratch,
-          &totals->timings, trace, cancel);
+      totals->counters +=
+          spatial::SoaSweepJoin(scratch->soa_r, scratch->soa_s, eps,
+                                &scratch->self_scratch, &totals->timings,
+                                trace, cancel);
       Stopwatch filter_watch;
       for (const ResultPair& p : scratch->self_scratch) {
         if (p.r_id >= p.s_id) {
@@ -243,32 +154,42 @@ void JoinSinglePartition(PartitionId part, const PartitionView& v,
       totals->timings.emit_seconds += filter_watch.ElapsedSeconds();
     } else {
       totals->counters += spatial::SoaSweepJoin(
-          scratch->soa_r, scratch->soa_s, options.eps,
-          keep_pairs ? pairs : nullptr, &totals->timings, trace, cancel);
+          scratch->soa_r, scratch->soa_s, eps, keep_pairs ? pairs : nullptr,
+          &totals->timings, trace, cancel);
     }
-    // Partition boundary counts as progress too.
-    if (cancel != nullptr) cancel->Pulse(1);
   } else {
     // In self-join mode the local join still sees every ordered match; the
-    // emit wrapper keeps only r.id < s.id (each unordered pair once) and
-    // the count is corrected after the phase.
-    const std::function<void(const Tuple&, const Tuple&)> emit =
-        [pairs, filtered, keep_pairs, self_join](const Tuple& a,
-                                                 const Tuple& b) {
-          if (self_join && a.id >= b.id) {
-            ++*filtered;
-            return;
-          }
-          if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
-        };
-    Materialize(v, 0, v.r, &scratch->tuples_r);
-    Materialize(v, v.r, v.s, &scratch->tuples_s);
-    totals->counters +=
-        kernel.fn(&scratch->tuples_r, &scratch->tuples_s, options.eps, emit);
-    if (cancel != nullptr) {
-      cancel->Pulse(totals->counters.candidates - before.candidates + 1);
+    // emit lambda keeps only r.id < s.id (each unordered pair once) and the
+    // count is corrected after the phase.
+    const auto emit = [pairs, filtered, keep_pairs, self_join](const Tuple& a,
+                                                               const Tuple& b) {
+      if (self_join && a.id >= b.id) {
+        ++*filtered;
+        return;
+      }
+      if (keep_pairs) pairs->push_back(ResultPair{a.id, b.id});
+    };
+    std::vector<Tuple>* const r = &scratch->tuples_r;
+    std::vector<Tuple>* const s = &scratch->tuples_s;
+    Materialize(v, 0, v.r, r);
+    Materialize(v, v.r, v.s, s);
+    switch (kernel) {
+      case spatial::LocalJoinKernel::kPlaneSweep:
+        totals->counters += spatial::PlaneSweepJoin(r, s, eps, emit, cancel);
+        break;
+      case spatial::LocalJoinKernel::kNestedLoop:
+        totals->counters += spatial::NestedLoopJoin(*r, *s, eps, emit, cancel);
+        break;
+      case spatial::LocalJoinKernel::kRTree:
+        totals->counters +=
+            spatial::RTreeProbeJoin(*r, *s, eps, index_r, emit, cancel);
+        break;
+      case spatial::LocalJoinKernel::kSweepSoA:
+        break;
     }
   }
+  // Partition boundary counts as progress too.
+  if (cancel != nullptr) cancel->Pulse(1);
   span.AddArg("candidates", static_cast<int64_t>(totals->counters.candidates -
                                                  before.candidates));
   span.AddArg("results", static_cast<int64_t>(totals->counters.results -
@@ -399,29 +320,6 @@ Status ValidateDatasetCoordinates(const Dataset& d, const Rect& bounds) {
           "] x [" + std::to_string(bounds.min_y) + ", " +
           std::to_string(bounds.max_y) + "]");
     }
-  }
-  return Status::OK();
-}
-
-Status ValidateJoinInputs(const Dataset& r, const Dataset& s,
-                          const EngineOptions& options) {
-  if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
-    return Status::InvalidArgument("eps must be positive and finite");
-  }
-  if (options.workers <= 0) {
-    return Status::InvalidArgument("workers must be positive");
-  }
-  if (options.num_splits < 0) {
-    return Status::InvalidArgument("num_splits must be >= 0");
-  }
-  if (options.physical_threads < 0) {
-    return Status::InvalidArgument("physical_threads must be >= 0");
-  }
-  PASJOIN_RETURN_NOT_OK(options.fault.Validate(options.workers));
-  PASJOIN_RETURN_NOT_OK(options.watchdog.Validate());
-  PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(r, options.bounds));
-  if (&r != &s) {
-    PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(s, options.bounds));
   }
   return Status::OK();
 }
@@ -949,9 +847,10 @@ Status RunSlotPhase(JobContext* job, Phase phase, PhaseClock* clock,
 
 Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
                        const AssignFn& assign, const OwnerFn& owner,
-                       const EngineOptions& options,
-                       const LocalJoinFn& local_join) {
-  const KernelDispatch kernel = ResolveKernel(options, local_join);
+                       const EngineOptions& options) {
+  // The R-tree indexes the globally larger relation, S on a tie (the
+  // paper's Sedona setup, Section 7.1).
+  const bool index_r = r.tuples.size() > s.tuples.size();
   obs::TraceRecorder* const trace = options.trace;
   // The job's integer observables accumulate in a counter registry — the
   // trace's own registry when tracing (making the exported trace
@@ -1108,7 +1007,7 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
                              carry, &state.rebuilt);
             view = state.rebuilt.View(carry);
           }
-          JoinSinglePartition(slot.part, view, options, kernel, keep_pairs,
+          JoinSinglePartition(slot.part, view, options, index_r, keep_pairs,
                               &state, &acc, trace, cancel);
         },
         [&](int i, JoinThreadState& state, bool commit) {
@@ -1131,7 +1030,7 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
         },
         &measured_join));
   }
-  m.local_kernel = kernel.name;
+  m.local_kernel = spatial::LocalJoinKernelName(options.local_kernel);
   std::vector<std::vector<ResultPair>> worker_pairs(
       static_cast<size_t>(workers));
   {
@@ -1215,26 +1114,64 @@ Result<JoinRun> RunJob(const Dataset& r, const Dataset& s,
 
 }  // namespace
 
+Status CheckRunnable(const ExecutionOptions& options) {
+  if (!std::isfinite(options.eps) || !(options.eps > 0.0)) {
+    return Status::InvalidArgument("eps must be positive and finite");
+  }
+  if (options.workers <= 0) {
+    return Status::InvalidArgument("workers must be positive");
+  }
+  if (options.num_splits < 0) {
+    return Status::InvalidArgument("num_splits must be >= 0");
+  }
+  if (options.physical_threads < 0) {
+    return Status::InvalidArgument("physical_threads must be >= 0");
+  }
+  PASJOIN_RETURN_NOT_OK(options.fault.Validate(options.workers));
+  PASJOIN_RETURN_NOT_OK(options.watchdog.Validate());
+  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
+  if (options.deadline.HasExpired()) {
+    return Status::DeadlineExceeded("job deadline expired before the run");
+  }
+  return Status::OK();
+}
+
 Result<JoinRun> TryRunPartitionedJoin(const Dataset& r, const Dataset& s,
                                       const AssignFn& assign,
                                       const OwnerFn& owner,
-                                      const EngineOptions& options,
-                                      const LocalJoinFn& local_join) {
-  PASJOIN_RETURN_NOT_OK(ValidateJoinInputs(r, s, options));
-  if (options.cancel.IsCancelled()) return options.cancel.ToStatus();
-  if (options.deadline.HasExpired()) {
-    return Status::DeadlineExceeded(
-        "job deadline expired before execution started");
+                                      const EngineOptions& options) {
+  PASJOIN_RETURN_NOT_OK(CheckRunnable(options));
+  PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(r, options.bounds));
+  if (&r != &s) {
+    PASJOIN_RETURN_NOT_OK(ValidateDatasetCoordinates(s, options.bounds));
   }
   // With recovery on, task exceptions become failed attempts; whatever
   // still escapes (recovery off, or the driver itself) becomes kInternal.
   try {
-    return RunJob(r, s, assign, owner, options, local_join);
+    return RunJob(r, s, assign, owner, options);
   } catch (const std::exception& e) {
     return Status::Internal(std::string("engine task failed: ") + e.what());
   } catch (...) {
     return Status::Internal("engine task failed: unknown exception");
   }
+}
+
+Result<JoinRun> FinishDriverRun(Result<JoinRun> run, const char* algorithm,
+                                double driver_seconds, double planning_seconds,
+                                obs::TraceRecorder* trace) {
+  if (!run.ok()) return run;
+  JobMetrics& m = run.value().metrics;
+  m.algorithm = algorithm;
+  m.construction_seconds += driver_seconds;
+  m.measured_construction_seconds += driver_seconds;
+  // Planning is a subset of the driver time already folded into
+  // construction; the break-out feeds trace validation and the bench gate.
+  m.measured_planning_seconds = planning_seconds;
+  if (trace != nullptr) {
+    trace->counters().SetGauge("driver_seconds", driver_seconds);
+    PublishMetricGauges(m, &trace->counters());
+  }
+  return run;
 }
 
 }  // namespace pasjoin::exec

@@ -11,9 +11,11 @@
 //
 // The engine is algorithm-agnostic: callers supply the partition-assignment
 // function (adaptive replication, PBSM replication, quadtree, ...), the
-// partition->worker ownership function (hash or LPT), and optionally the
-// local join algorithm (plane sweep by default, R-tree probing for the
-// Sedona-like baseline).
+// partition->worker ownership function (hash or LPT), and the options pick
+// one of the spatial::LocalJoinKernel templates for the per-partition join
+// (the SoA sweep by default, R-tree probing for the Sedona-like baseline).
+// There is no type-erased kernel: every kernel is compiled against the
+// engine's emit lambda and polls cancellation inside the partition.
 //
 // Logical-vs-physical parallelism: tasks execute on a host thread pool, but
 // every task is attributed to the *logical* worker that owns it; a phase's
@@ -61,34 +63,11 @@ using AssignFn = std::function<PartitionList(const Tuple&, Side)>;
 /// Maps a partition to its owning logical worker in [0, workers).
 using OwnerFn = std::function<int(PartitionId)>;
 
-/// Joins one partition's buffers; must call `emit(r, s)` per match and
-/// return the work counters. May reorder/modify the buffers.
-///
-/// This is the *generic* (type-erased) kernel interface: it pays an
-/// indirect call per result pair, so the engine only uses it for custom
-/// kernels and for the non-default LocalJoinKernel selections. The default
-/// sweep-SoA kernel (spatial/sweep_kernel.h) is executed natively with
-/// batched emission — no std::function runs in its inner loop.
-using LocalJoinFn = std::function<spatial::JoinCounters(
-    std::vector<Tuple>* r, std::vector<Tuple>* s, double eps,
-    const std::function<void(const Tuple&, const Tuple&)>& emit)>;
-
-/// Plane-sweep local join (the legacy refinement of Algorithm 5).
-LocalJoinFn PlaneSweepLocalJoin();
-
-/// Brute-force local join (oracle/testing).
-LocalJoinFn NestedLoopLocalJoin();
-
-/// Builds an STR R-tree on the larger buffer and probes with the smaller.
-LocalJoinFn RTreeProbeLocalJoin();
-
-/// R-tree probe join that always indexes relation `indexed` (the paper's
-/// Sedona setup indexes the globally larger data set, Section 7.1).
-LocalJoinFn RTreeProbeLocalJoinIndexing(Side indexed);
-
-/// Engine configuration.
-struct EngineOptions {
-  /// Join distance threshold.
+/// The execution options every driver forwards to the engine, declared
+/// once: AdaptiveJoinOptions, PbsmOptions, SedonaOptions, SelfJoinOptions
+/// and EngineOptions all derive from this block.
+struct ExecutionOptions {
+  /// Join distance threshold (required, > 0).
   double eps = 0.0;
   /// Logical workers (the paper's "nodes"/executors).
   int workers = 12;
@@ -96,26 +75,59 @@ struct EngineOptions {
   int num_splits = 0;
   /// Materialize result pairs in JoinRun::pairs.
   bool collect_results = false;
-  /// Run a parallel distinct step after the join (the non-duplicate-free
-  /// variant of Table 6). Implies internal collection of pairs.
-  bool deduplicate = false;
   /// Copy payload bytes through the shuffle (Figures 16-18). When false the
   /// shuffle carries only id+x+y, as in the post-processing variant of
   /// Table 5.
   bool carry_payloads = true;
-  /// Self-join mode: both inputs are the same relation; only unordered
-  /// pairs with r.id < s.id are reported (each pair once, no self-pairs).
-  bool self_join = false;
   /// Physical threads to execute on; 0 selects the host's core count.
   int physical_threads = 0;
   /// Partition-level join kernel (docs/ALGORITHM.md §"Local join kernels").
-  /// Ignored when the caller passes an explicit LocalJoinFn. The default is
-  /// the cache-friendly SoA sweep with batched emission.
+  /// The default is the cache-friendly SoA sweep with batched emission.
   spatial::LocalJoinKernel local_kernel = spatial::LocalJoinKernel::kSweepSoA;
   /// Fault injection + recovery policy (docs/FAULT_TOLERANCE.md). Ignored
   /// unless fault.enabled; the default runs every task exactly once with no
   /// recovery state.
   FaultOptions fault;
+  /// External cancellation (docs/CANCELLATION.md). A default token never
+  /// cancels (zero cost); pass CancellationSource::token() to be able to
+  /// abort the job from another thread. Drivers check it before their
+  /// sequential construction steps and the engine polls it throughout. A
+  /// cancelled run returns the token's status (kCancelled unless the
+  /// canceller chose another code) and publishes NO partial results.
+  CancellationToken cancel;
+  /// Wall-clock budget for the whole job, driver construction included
+  /// (docs/CANCELLATION.md). Unlimited by default; when set, the run
+  /// returns kDeadlineExceeded shortly after the deadline passes (firing
+  /// latency is bounded by watchdog.poll_interval_seconds), again with no
+  /// partial results. On success, JobMetrics::deadline_slack_seconds
+  /// records the margin.
+  Deadline deadline;
+  /// Stuck-task watchdog (exec/watchdog.h). `watchdog.enabled` turns on
+  /// stall detection of fault-tolerant task attempts; deadlines above are
+  /// enforced whether or not it is enabled.
+  WatchdogOptions watchdog;
+  /// Execution trace sink (docs/OBSERVABILITY.md). Null (the default)
+  /// disables tracing at zero cost; when set, the drivers record spans for
+  /// their construction steps and the engine records per-task spans on one
+  /// track per logical worker, per-partition join spans, the kernel's
+  /// sort/sweep/emit phases, and fault-recovery events, and folds the job's
+  /// counters into trace->counters(). Not owned.
+  obs::TraceRecorder* trace = nullptr;
+};
+
+/// Engine configuration: the shared block plus what only the engine reads.
+struct EngineOptions : ExecutionOptions {
+  EngineOptions() = default;
+  /// Takes the shared block of a driver's options (slicing off the rest).
+  explicit EngineOptions(const ExecutionOptions& shared)
+      : ExecutionOptions(shared) {}
+
+  /// Run a parallel distinct step after the join (the non-duplicate-free
+  /// variant of Table 6). Implies internal collection of pairs.
+  bool deduplicate = false;
+  /// Self-join mode: both inputs are the same relation; only unordered
+  /// pairs with r.id < s.id are reported (each pair once, no self-pairs).
+  bool self_join = false;
   /// Declared data-space bounds. When set (positive area), every input
   /// point must lie inside (boundary inclusive) or the run is rejected with
   /// kInvalidArgument naming the offending dataset and index — partitioners
@@ -125,29 +137,14 @@ struct EngineOptions {
   /// skips the check. Exact-boundary points are valid: Grid::Locate keeps
   /// clamping max-edge coordinates into the last cell.
   Rect bounds;
-  /// Execution trace sink (docs/OBSERVABILITY.md). Null (the default)
-  /// disables tracing at zero cost; when set, the engine records per-task
-  /// spans on one track per logical worker, per-partition join spans, the
-  /// kernel's sort/sweep/emit phases, and fault-recovery events, and folds
-  /// the job's counters into trace->counters(). Not owned.
-  obs::TraceRecorder* trace = nullptr;
-  /// External cancellation (docs/CANCELLATION.md). A default token never
-  /// cancels (zero cost); pass CancellationSource::token() to be able to
-  /// abort the job from another thread. A cancelled run returns the
-  /// token's status (kCancelled unless the canceller chose another code)
-  /// and publishes NO partial results.
-  CancellationToken cancel;
-  /// Wall-clock budget for the whole job (docs/CANCELLATION.md). Unlimited
-  /// by default; when set, the run returns kDeadlineExceeded shortly after
-  /// the deadline passes (firing latency is bounded by
-  /// watchdog.poll_interval_seconds), again with no partial results. On
-  /// success, JobMetrics::deadline_slack_seconds records the margin.
-  Deadline deadline;
-  /// Stuck-task watchdog (exec/watchdog.h). `watchdog.enabled` turns on
-  /// stall detection of fault-tolerant task attempts; deadlines above are
-  /// enforced whether or not it is enabled.
-  WatchdogOptions watchdog;
 };
+
+/// The checks every run starts with, in the drivers before their
+/// construction steps and in the engine: the shared options are coherent
+/// (eps positive and finite, workers > 0, num_splits and physical_threads
+/// >= 0, valid FaultOptions and WatchdogOptions; else kInvalidArgument),
+/// the token is not cancelled, and the deadline has not passed.
+[[nodiscard]] Status CheckRunnable(const ExecutionOptions& options);
 
 /// Outcome of a partitioned join run.
 struct JoinRun {
@@ -156,13 +153,13 @@ struct JoinRun {
   std::vector<ResultPair> pairs;
 };
 
-/// Runs the map/shuffle/join dataflow. `assign` decides replication;
-/// `owner` decides placement; `local_join` computes each partition's join.
+/// Runs the map/shuffle/join dataflow. `assign` decides replication,
+/// `owner` decides placement, and options.local_kernel joins each partition.
 ///
-/// Inputs are validated (finite coordinates, eps > 0, workers > 0, coherent
-/// FaultOptions) and rejected with kInvalidArgument. When fault injection is
-/// enabled, failed or lost tasks are re-executed from retained split data
-/// (bounded retries with exponential backoff), a lost logical worker's
+/// Inputs are validated (CheckRunnable, finite coordinates inside
+/// options.bounds) and rejected with kInvalidArgument. When fault injection
+/// is enabled, failed or lost tasks are re-executed from retained split
+/// data (bounded retries with exponential backoff), a lost logical worker's
 /// partitions are rebuilt on survivors from their lineage, and straggling
 /// tasks are backed up speculatively; the recovered result is identical to a
 /// fault-free run. Returns kResourceExhausted when a task exhausts its retry
@@ -172,15 +169,19 @@ struct JoinRun {
 /// in every error case nothing is published to the returned JoinRun — a
 /// caller either gets the complete, exact join result or an error
 /// (docs/CANCELLATION.md).
-///
-/// When `local_join` is empty (the default), the engine selects the kernel
-/// from `options.local_kernel`; a non-empty LocalJoinFn overrides the
-/// selection (the Sedona-like baseline uses this to pin the R-tree's
-/// indexed side).
 [[nodiscard]] Result<JoinRun> TryRunPartitionedJoin(
     const Dataset& r, const Dataset& s, const AssignFn& assign,
-    const OwnerFn& owner, const EngineOptions& options,
-    const LocalJoinFn& local_join = LocalJoinFn());
+    const OwnerFn& owner, const EngineOptions& options);
+
+/// The epilogue every driver shares: on success, names the algorithm,
+/// folds the driver's sequential `driver_seconds` into the construction
+/// times, records the `planning_seconds` part of them, and republishes the
+/// gauges of an attached trace (the engine could not see the driver time).
+[[nodiscard]] Result<JoinRun> FinishDriverRun(Result<JoinRun> run,
+                                              const char* algorithm,
+                                              double driver_seconds,
+                                              double planning_seconds,
+                                              obs::TraceRecorder* trace);
 
 }  // namespace pasjoin::exec
 

@@ -10,15 +10,12 @@
 //
 // Under real work-stealing parallelism many tasks of the SAME worker run
 // concurrently on different threads, so accumulation must be safe against
-// concurrent Add()s to one worker's cell. Two sanctioned ways in:
-//
-//   * Add(): takes the clock's mutex per call. Fine for coarse tasks and
-//     callers outside a steal-phase runner;
-//   * Shard + Merge(): a thread-confined Shard accumulates without any
-//     synchronization and is folded into the clock with ONE lock
-//     acquisition at the end of the runner — the per-thread-accumulation
-//     idiom the steal phases use (tested by phase_clock_stress_test under
-//     TSan: concurrent sharded accumulation is exact, never lossy).
+// concurrent accumulation into one worker's cell. The one way in is
+// Shard + Merge(): a thread-confined Shard accumulates without any
+// synchronization and is folded into the clock with ONE lock acquisition
+// at the end of the runner — the per-thread-accumulation idiom the steal
+// phases use (tested by phase_clock_stress_test under TSan: concurrent
+// sharded accumulation is exact, never lossy).
 #ifndef PASJOIN_EXEC_PHASE_CLOCK_H_
 #define PASJOIN_EXEC_PHASE_CLOCK_H_
 
@@ -53,12 +50,6 @@ class PhaseClock {
       : workers_(workers), busy_(static_cast<size_t>(workers), 0.0) {}
 
   int workers() const { return workers_; }
-
-  /// Locked accumulation (one lock round-trip per call).
-  void Add(int worker, double seconds) PASJOIN_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    busy_[static_cast<size_t>(worker)] += seconds;
-  }
 
   /// Folds a thread-confined shard in with a single lock acquisition. The
   /// shard must be sized for the same worker count.

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "common/geometry.h"
+#include "common/small_vector.h"
 #include "common/status.h"
 
 namespace pasjoin::grid {
@@ -171,6 +172,12 @@ class Grid {
   double cell_w_ = 0.0;
   double cell_h_ = 0.0;
 };
+
+/// Every cell within MINDIST <= grid.eps() of `p`, native cell first: the
+/// single-set replication of PBSM and of the self-join's replicated stream.
+/// Works at any resolution (on an eps x eps grid the ball reaches cells two
+/// steps away).
+SmallVector<CellId, 4> CellsWithinEps(const Grid& grid, const Point& p);
 
 }  // namespace pasjoin::grid
 

@@ -61,8 +61,9 @@ enum class LocalJoinKernel : uint8_t {
   kPlaneSweep,
   /// Brute force; the oracle used by tests and the cost model.
   kNestedLoop,
-  /// STR R-tree built on the larger side, probed with the smaller (the
-  /// Sedona-like baseline's strategy).
+  /// STR R-tree probe join (spatial/rtree.h): the engine indexes S unless
+  /// R is the globally larger relation, as Sedona indexes the larger data
+  /// set (the Sedona-like baseline's strategy).
   kRTree,
 };
 

@@ -1,8 +1,9 @@
 // Copyright 2026 The pasjoin Authors.
 //
-// A bulk-loaded (Sort-Tile-Recursive) R-tree over points, used by the
-// Sedona-like baseline: Sedona builds a per-partition R-tree on the larger
-// data set and probes it with eps-range queries from the other set.
+// A bulk-loaded (Sort-Tile-Recursive) R-tree over points, and the R-tree
+// probe join the Sedona-like baseline runs per partition: Sedona builds an
+// R-tree on the larger data set and probes it with eps-range queries from
+// the other set.
 #ifndef PASJOIN_SPATIAL_RTREE_H_
 #define PASJOIN_SPATIAL_RTREE_H_
 
@@ -11,6 +12,7 @@
 
 #include "common/geometry.h"
 #include "common/tuple.h"
+#include "spatial/local_join.h"
 
 namespace pasjoin::spatial {
 
@@ -75,6 +77,42 @@ class RTree {
   int32_t root_ = 0;
   int height_ = 0;
 };
+
+/// R-tree probe join: bulk-loads an R-tree over `r` when `index_r`, else
+/// over `s`, probes it with an eps-range query per tuple of the other side,
+/// and calls `emit(const Tuple& r, const Tuple& s)` per match. Candidates
+/// are the leaf entries whose exact distance was evaluated. Polls `cancel`
+/// between probes once kKernelPollGrain units of work (candidates plus one
+/// per probe) accumulated; returns partial counters when cancelled (see
+/// KernelCancellation).
+template <typename Emit>
+JoinCounters RTreeProbeJoin(const std::vector<Tuple>& r,
+                            const std::vector<Tuple>& s, double eps,
+                            bool index_r, Emit&& emit,
+                            const KernelCancellation* cancel = nullptr) {
+  JoinCounters counters;
+  if (r.empty() || s.empty()) return counters;
+  const RTree tree(index_r ? r : s);
+  uint64_t since_poll = 0;
+  for (const Tuple& q : index_r ? s : r) {
+    const uint64_t found = tree.RangeQuery(q.pt, eps, [&](const Tuple& hit) {
+      ++counters.results;
+      if (index_r) {
+        emit(hit, q);
+      } else {
+        emit(q, hit);
+      }
+    });
+    counters.candidates += found;
+    if (cancel != nullptr && (since_poll += found + 1) >= kKernelPollGrain) {
+      cancel->Pulse(since_poll);
+      since_poll = 0;
+      if (cancel->ShouldStop()) return counters;
+    }
+  }
+  if (cancel != nullptr) cancel->Pulse(since_poll);
+  return counters;
+}
 
 }  // namespace pasjoin::spatial
 

@@ -50,12 +50,13 @@ OwnerFn ModOwner(int workers) {
   };
 }
 
-std::vector<Point> RandomPoints(size_t n, uint64_t seed) {
+/// Points uniform in [0, width) x [0, 1).
+std::vector<Point> RandomPoints(size_t n, uint64_t seed, double width = 10) {
   Rng rng(seed);
   std::vector<Point> pts;
   pts.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    pts.push_back(Point{rng.NextUniform(0, 10), rng.NextUniform(0, 1)});
+    pts.push_back(Point{rng.NextUniform(0, width), rng.NextUniform(0, 1)});
   }
   return pts;
 }
@@ -244,30 +245,82 @@ TEST(EngineWatchdogTest, InfiniteStragglersAreCancelledAndRetried) {
 
 // A quick-firing watchdog must not cancel healthy tasks: with no injected
 // stragglers the kernels' heartbeat pulses keep every attempt alive and
-// the result stays exact.
+// the result stays exact — for every kernel, also inside one partition
+// that joins for about four quiet periods (a kernel that pulsed only at the
+// partition boundary was failed as stalled until its retry budget ran out).
 TEST(EngineWatchdogTest, HealthyRunSurvivesAggressiveWatchdog) {
   const Dataset r = MakeDataset(RandomPoints(500, 23), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(500, 24), 1000, "S");
-  EngineOptions options = SmallOptions();
+  const AssignFn one_partition = [](const Tuple&, Side) {
+    PartitionList out;
+    out.push_back(0);
+    return out;
+  };
+  for (const spatial::LocalJoinKernel kernel :
+       {spatial::LocalJoinKernel::kSweepSoA,
+        spatial::LocalJoinKernel::kPlaneSweep,
+        spatial::LocalJoinKernel::kNestedLoop,
+        spatial::LocalJoinKernel::kRTree}) {
+    SCOPED_TRACE(spatial::LocalJoinKernelName(kernel));
+    EngineOptions options = SmallOptions();
+    options.local_kernel = kernel;
+    Result<JoinRun> clean_result =
+        TryRunPartitionedJoin(r, s, BandAssign(options.eps),
+                              ModOwner(options.workers), options);
+    ASSERT_TRUE(clean_result.ok()) << clean_result.status().ToString();
+    std::vector<ResultPair> expected = clean_result.MoveValue().pairs;
+    std::sort(expected.begin(), expected.end());
 
-  Result<JoinRun> clean_result =
-      TryRunPartitionedJoin(r, s, BandAssign(options.eps),
-                            ModOwner(options.workers), options);
-  ASSERT_TRUE(clean_result.ok()) << clean_result.status().ToString();
-  std::vector<ResultPair> expected = clean_result.MoveValue().pairs;
-  std::sort(expected.begin(), expected.end());
+    options.fault.enabled = true;
+    options.watchdog.enabled = true;
+    options.watchdog.quiet_period_seconds = 0.25;
+    options.watchdog.poll_interval_seconds = 0.005;
+    Result<JoinRun> result =
+        TryRunPartitionedJoin(r, s, BandAssign(options.eps),
+                              ModOwner(options.workers), options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    JoinRun run = result.MoveValue();
+    std::sort(run.pairs.begin(), run.pairs.end());
+    EXPECT_EQ(run.pairs, expected);
 
-  options.fault.enabled = true;
-  options.watchdog.enabled = true;
-  options.watchdog.quiet_period_seconds = 0.25;
-  options.watchdog.poll_interval_seconds = 0.005;
-  Result<JoinRun> result =
-      TryRunPartitionedJoin(r, s, BandAssign(options.eps),
-                            ModOwner(options.workers), options);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  JoinRun run = result.MoveValue();
-  std::sort(run.pairs.begin(), run.pairs.end());
-  EXPECT_EQ(run.pairs, expected);
+    // The big partition, ~50 ms per kernel in an optimized build: the
+    // nested loop is quadratic in it, the other kernels scale with the
+    // eps-window, which a 12 x 1 strip narrows.
+    const bool quadratic = kernel == spatial::LocalJoinKernel::kNestedLoop;
+    const size_t n = quadratic                                  ? 4000
+                     : kernel == spatial::LocalJoinKernel::kRTree ? 5000
+                                                                  : 10000;
+    const double width = quadratic ? 1.0 : 12.0;
+    const Dataset big_r = MakeDataset(RandomPoints(n, 27, width), 0, "R");
+    const Dataset big_s =
+        MakeDataset(RandomPoints(n, 28, width), 100000, "S");
+    EngineOptions big = SmallOptions();
+    big.eps = 1.0;
+    big.collect_results = false;
+    big.local_kernel = kernel;
+    const Stopwatch sw;
+    const Result<JoinRun> big_clean = TryRunPartitionedJoin(
+        big_r, big_s, one_partition, ModOwner(big.workers), big);
+    ASSERT_TRUE(big_clean.ok()) << big_clean.status().ToString();
+    // A quarter of the fault-free run on this build (sanitizers included)
+    // keeps the partition at several quiet periods, while the kernels'
+    // longest silences — the sort, and 1024 pivots of the SoA sweep — stay
+    // well inside one.
+    big.fault.enabled = true;
+    big.watchdog.enabled = true;
+    big.watchdog.quiet_period_seconds =
+        std::max(0.015, sw.ElapsedSeconds() / 4);
+    big.watchdog.poll_interval_seconds =
+        big.watchdog.quiet_period_seconds / 10;
+    const Result<JoinRun> watched = TryRunPartitionedJoin(
+        big_r, big_s, one_partition, ModOwner(big.workers), big);
+    EXPECT_TRUE(watched.ok()) << watched.status().ToString();
+    if (!watched.ok()) continue;
+    EXPECT_EQ(watched.value().metrics.results,
+              big_clean.value().metrics.results);
+    EXPECT_EQ(watched.value().metrics.candidates,
+              big_clean.value().metrics.candidates);
+  }
 }
 
 // Speculative execution + cancellation of losing attempts: the winner

@@ -71,26 +71,26 @@ TEST(EngineTest, ProducesExactJoinResult) {
 }
 
 TEST(EngineTest, LocalJoinVariantsAgree) {
-  const Dataset r = MakeDataset(RandomPoints(250, 3), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(250, 4), 1000, "S");
-  const EngineOptions options = BaseOptions();
+  // Every kernel counts the same results, whichever relation is larger
+  // (the R-tree indexes the globally larger one).
   const OwnerFn owner = [](PartitionId p) { return p % 4; };
+  EngineOptions options = BaseOptions();
   const AssignFn assign = BandAssign(options.eps, Side::kS);
-  const uint64_t nl =
-      RunPartitionedJoin(r, s, assign, owner, options, NestedLoopLocalJoin())
-          .metrics.results;
-  const uint64_t ps =
-      RunPartitionedJoin(r, s, assign, owner, options, PlaneSweepLocalJoin())
-          .metrics.results;
-  const uint64_t rt =
-      RunPartitionedJoin(r, s, assign, owner, options, RTreeProbeLocalJoin())
-          .metrics.results;
-  const uint64_t rtr = RunPartitionedJoin(r, s, assign, owner, options,
-                                          RTreeProbeLocalJoinIndexing(Side::kR))
-                           .metrics.results;
-  EXPECT_EQ(nl, ps);
-  EXPECT_EQ(nl, rt);
-  EXPECT_EQ(nl, rtr);
+  for (const size_t r_size : {size_t{150}, size_t{250}, size_t{400}}) {
+    const Dataset r = MakeDataset(RandomPoints(r_size, 3), 0, "R");
+    const Dataset s = MakeDataset(RandomPoints(250, 4), 1000, "S");
+    const uint64_t truth = BruteForcePairs(r, s, options.eps).size();
+    for (const spatial::LocalJoinKernel kernel :
+         {spatial::LocalJoinKernel::kSweepSoA,
+          spatial::LocalJoinKernel::kPlaneSweep,
+          spatial::LocalJoinKernel::kNestedLoop,
+          spatial::LocalJoinKernel::kRTree}) {
+      options.local_kernel = kernel;
+      const JoinRun run = RunPartitionedJoin(r, s, assign, owner, options);
+      EXPECT_EQ(run.metrics.results, truth)
+          << spatial::LocalJoinKernelName(kernel) << " |R|=" << r_size;
+    }
+  }
 }
 
 TEST(EngineTest, KernelSelectionMatrixAgrees) {
@@ -127,20 +127,6 @@ TEST(EngineTest, KernelSelectionMatrixAgrees) {
                 0.0);
     }
   }
-}
-
-TEST(EngineTest, ExplicitLocalJoinOverridesKernelSelection) {
-  const Dataset r = MakeDataset(RandomPoints(120, 15), 0, "R");
-  const Dataset s = MakeDataset(RandomPoints(120, 16), 1000, "S");
-  const OwnerFn owner = [](PartitionId p) { return p % 4; };
-  EngineOptions options = BaseOptions();
-  options.local_kernel = spatial::LocalJoinKernel::kSweepSoA;
-  const AssignFn assign = BandAssign(options.eps, Side::kS);
-  const JoinRun dispatched = RunPartitionedJoin(r, s, assign, owner, options);
-  const JoinRun overridden = RunPartitionedJoin(r, s, assign, owner, options,
-                                                NestedLoopLocalJoin());
-  EXPECT_EQ(dispatched.metrics.results, overridden.metrics.results);
-  EXPECT_EQ(overridden.metrics.local_kernel, "custom");
 }
 
 TEST(EngineTest, ReplicationCountsOnlyExtraCopies) {

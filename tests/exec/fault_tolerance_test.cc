@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -375,23 +374,22 @@ TEST(FaultToleranceTest, ValidationRejectsNonFiniteCoordinates) {
 }
 
 TEST(FaultToleranceTest, FastPathConvertsTaskExceptionsToInternal) {
-  // With recovery off, a throwing local join must surface as kInternal,
-  // not escape as a C++ exception or abort.
+  // With recovery off, a throwing task must surface as kInternal, not
+  // escape as a C++ exception or abort.
   const Dataset r = MakeDataset(RandomPoints(50, 48), 0, "R");
   const Dataset s = MakeDataset(RandomPoints(50, 49), 1000, "S");
   const EngineOptions options = BaseOptions();
-  const LocalJoinFn throwing =
-      [](std::vector<Tuple>*, std::vector<Tuple>*, double,
-         const std::function<void(const Tuple&, const Tuple&)>&)
-      -> spatial::JoinCounters {
-    throw std::runtime_error("local join exploded");
+  const AssignFn throwing = [](const Tuple& t, Side) -> PartitionList {
+    if (t.id == 1017) throw std::runtime_error("assignment exploded");
+    PartitionList out;
+    out.push_back(0);
+    return out;
   };
   const Result<JoinRun> result = TryRunPartitionedJoin(
-      r, s, BandAssign(options.eps, Side::kR),
-      [](PartitionId p) { return p % 4; }, options, throwing);
+      r, s, throwing, [](PartitionId p) { return p % 4; }, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-  EXPECT_NE(result.status().message().find("local join exploded"),
+  EXPECT_NE(result.status().message().find("assignment exploded"),
             std::string::npos)
       << result.status().ToString();
 }
@@ -411,17 +409,14 @@ TEST(FaultToleranceTest, FaultPathRetriesRealTaskExceptions) {
   options.fault.enabled = true;
   options.fault.backoff_base_ms = 0.05;
   std::atomic<int> boom_budget{3};
-  const LocalJoinFn flaky =
-      [&boom_budget](std::vector<Tuple>* a, std::vector<Tuple>* b, double eps,
-                     const std::function<void(const Tuple&, const Tuple&)>&
-                         emit) -> spatial::JoinCounters {
-    if (boom_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
+  const AssignFn flaky = [&boom_budget, &assign](const Tuple& t, Side side) {
+    if (t.id == 1100 &&
+        boom_budget.fetch_sub(1, std::memory_order_relaxed) > 0) {
       throw std::runtime_error("transient failure");
     }
-    return PlaneSweepLocalJoin()(a, b, eps, emit);
+    return assign(t, side);
   };
-  Result<JoinRun> result =
-      TryRunPartitionedJoin(r, s, assign, owner, options, flaky);
+  Result<JoinRun> result = TryRunPartitionedJoin(r, s, flaky, owner, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   JoinRun run = result.MoveValue();
   EXPECT_EQ(SortedPairs(run), truth);

@@ -5,10 +5,9 @@
 // updates when two runner threads attributed time to the same logical
 // worker. The fixed design accumulates into thread-confined Shards and
 // folds them in with one Merge per runner; this test hammers the
-// Shard+Merge protocol (and the locked Add fallback used by the fault
-// path) from many threads and asserts the totals are EXACT — any lost or
-// double-counted update changes the sums. Run under TSan by the tsan CI
-// lane (label: stress).
+// Shard+Merge protocol from many threads and asserts the totals are EXACT —
+// any lost or double-counted update changes the sums. Run under TSan by the
+// tsan CI lane (label: stress).
 #include "exec/phase_clock.h"
 
 #include <thread>
@@ -59,51 +58,6 @@ TEST(PhaseClockStressTest, ConcurrentShardMergesAreExact) {
   }
   EXPECT_NEAR(total, 0.001 * kThreads * kAddsPerThread, 1e-6 * total);
   EXPECT_NEAR(clock.Makespan(), kPerWorker, 1e-6 * kPerWorker);
-}
-
-TEST(PhaseClockStressTest, ConcurrentLockedAddsAreExact) {
-  // The locked Add may be called from many pool threads at once; updates
-  // must never be lost.
-  constexpr int kWorkers = 4;
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 20000;
-  PhaseClock clock(kWorkers);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&clock] {
-      for (int i = 0; i < kAddsPerThread; ++i) {
-        clock.Add(i % kWorkers, 0.0005);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  const std::vector<double> busy = clock.busy();
-  constexpr double kPerWorker =
-      0.0005 * kThreads * kAddsPerThread / kWorkers;
-  for (double b : busy) EXPECT_NEAR(b, kPerWorker, 1e-6 * kPerWorker);
-}
-
-TEST(PhaseClockStressTest, MixedShardMergeAndDirectAdd) {
-  // Shards merging while other threads Add directly (the speculative-
-  // attempt path) must still sum exactly.
-  constexpr int kWorkers = 4;
-  PhaseClock clock(kWorkers);
-  std::thread merger([&clock] {
-    for (int round = 0; round < 100; ++round) {
-      PhaseClock::Shard shard(kWorkers);
-      for (int i = 0; i < 100; ++i) shard.Add(i % kWorkers, 0.01);
-      clock.Merge(shard);
-    }
-  });
-  std::thread adder([&clock] {
-    for (int i = 0; i < 10000; ++i) clock.Add(i % kWorkers, 0.001);
-  });
-  merger.join();
-  adder.join();
-  double total = 0.0;
-  for (double b : clock.busy()) total += b;
-  EXPECT_NEAR(total, 100 * 100 * 0.01 + 10000 * 0.001, 1e-6 * total);
 }
 
 }  // namespace

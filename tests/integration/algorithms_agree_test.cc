@@ -4,8 +4,11 @@
 // repository (LPiB, DIFF, UNI(R), UNI(S), eps-grid, Sedona-like, and the
 // non-duplicate-free + distinct variant) must report the exact same result
 // count as the brute-force oracle, across eps values and data set shapes.
-// This is the Definition 3.2/3.3 contract at system level.
+// This is the Definition 3.2/3.3 contract at system level. Every driver
+// also rejects bad shared execution options with a Status.
+#include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <map>
 #include <string>
 
@@ -14,6 +17,7 @@
 #include "baselines/pbsm.h"
 #include "baselines/sedona_like.h"
 #include "core/adaptive_join.h"
+#include "core/self_join.h"
 #include "datagen/generators.h"
 #include "test_util.h"
 
@@ -130,6 +134,56 @@ INSTANTIATE_TEST_SUITE_P(
                     static_cast<int>(std::get<1>(param_info.param) * 10));
       return std::string(buf);
     });
+
+/// Runs every driver with `mutate` applied to its shared options and
+/// returns the status codes.
+template <typename Mutate>
+std::map<std::string, StatusCode> DriverCodes(const Workload& w,
+                                              Mutate mutate) {
+  std::map<std::string, StatusCode> codes;
+  core::AdaptiveJoinOptions adaptive;
+  baselines::PbsmOptions pbsm;
+  baselines::SedonaOptions sedona;
+  core::SelfJoinOptions self;
+  for (exec::ExecutionOptions* o :
+       std::initializer_list<exec::ExecutionOptions*>{&adaptive, &pbsm,
+                                                      &sedona, &self}) {
+    o->eps = 0.5;
+    mutate(o);
+  }
+  codes["LPiB"] =
+      core::AdaptiveDistanceJoin(w.r, w.s, adaptive).status().code();
+  codes["UNI(R)"] = baselines::PbsmDistanceJoin(
+                        w.r, w.s, baselines::PbsmVariant::kUniR, pbsm)
+                        .status()
+                        .code();
+  codes["Sedona"] =
+      baselines::SedonaLikeDistanceJoin(w.r, w.s, sedona).status().code();
+  codes["self-join"] = core::SelfDistanceJoin(w.r, self).status().code();
+  return codes;
+}
+
+TEST(DriverOptionsTest, EveryDriverRejectsBadSharedOptions) {
+  const Workload w = MakeWorkload("uniform_x_uniform", 300);
+  for (const auto& [name, code] :
+       DriverCodes(w, [](exec::ExecutionOptions*) {})) {
+    EXPECT_EQ(code, StatusCode::kOk) << name;
+  }
+  // workers = 0 used to abort in the adaptive and PBSM drivers, which
+  // build a CellAssignment before the engine checks its options.
+  for (const auto& [name, code] :
+       DriverCodes(w, [](exec::ExecutionOptions* o) { o->workers = 0; })) {
+    EXPECT_EQ(code, StatusCode::kInvalidArgument) << name << " workers=0";
+  }
+  for (const auto& [name, code] : DriverCodes(
+           w, [](exec::ExecutionOptions* o) { o->eps = std::nan(""); })) {
+    EXPECT_EQ(code, StatusCode::kInvalidArgument) << name << " eps=NaN";
+  }
+  for (const auto& [name, code] :
+       DriverCodes(w, [](exec::ExecutionOptions* o) { o->num_splits = -1; })) {
+    EXPECT_EQ(code, StatusCode::kInvalidArgument) << name << " num_splits=-1";
+  }
+}
 
 }  // namespace
 }  // namespace pasjoin

@@ -70,10 +70,9 @@ inline std::vector<Point> RandomPointsNearCorners(
 /// contract itself.
 inline exec::JoinRun RunPartitionedJoin(
     const Dataset& r, const Dataset& s, const exec::AssignFn& assign,
-    const exec::OwnerFn& owner, const exec::EngineOptions& options,
-    const exec::LocalJoinFn& local_join = exec::LocalJoinFn()) {
+    const exec::OwnerFn& owner, const exec::EngineOptions& options) {
   Result<exec::JoinRun> result =
-      exec::TryRunPartitionedJoin(r, s, assign, owner, options, local_join);
+      exec::TryRunPartitionedJoin(r, s, assign, owner, options);
   if (!result.ok()) {
     std::fprintf(stderr, "RunPartitionedJoin: %s\n",
                  result.status().ToString().c_str());

@@ -62,6 +62,12 @@ suppression mechanism):
                          args only. Callbacks in these headers are template
                          parameters (zero-cost, inlinable) or batched result
                          buffers.
+  no-per-pair-function   A type-erased per-pair emit,
+                         std::function<void(const Tuple&, const Tuple&)>,
+                         appears nowhere under src/ (headers and sources,
+                         also when the declaration spans lines). It costs an
+                         indirect call per result pair; every partition
+                         kernel takes its emit as a template parameter.
 
 Suppression: append  // pasjoin-lint: allow(<rule>)  to the offending line.
 A suppression naming a rule this linter does not know is itself an error
@@ -117,6 +123,11 @@ RNG_TOKEN_RE = re.compile(
 RANDOM_HEADER_RE = re.compile(r'^\s*#\s*include\s+<random>')
 STD_FUNCTION_TOKEN_RE = re.compile(r"\bstd::function\b")
 FUNCTIONAL_HEADER_RE = re.compile(r'^\s*#\s*include\s+<functional>')
+# `\s` also matches newlines: the pattern is searched across whole files.
+_TUPLE_REF = r"const\s+(?:pasjoin::)?Tuple\s*&\s*(?:\w+\s*)?"
+PER_PAIR_FUNCTION_RE = re.compile(
+    r"\bstd::function\s*<\s*void\s*\(\s*" + _TUPLE_REF + r",\s*" +
+    _TUPLE_REF + r"\)\s*>")
 NODISCARD_DECL_RE = re.compile(
     r"^\s*(?:static\s+)?(?:Status|Result<[^;{}()]+>)\s+[A-Z]\w*\s*\(")
 MUTEX_MEMBER_RE = re.compile(r"^\s*(?:mutable\s+)?Mutex\s+(\w+)\s*[;{]")
@@ -134,6 +145,7 @@ KNOWN_RULES = frozenset({
     "rng-discipline",
     "nodiscard-status",
     "no-function-hotpath",
+    "no-per-pair-function",
 })
 
 
@@ -324,6 +336,23 @@ def check_token_rule(files: list[Path], rule: str, token_re: re.Pattern,
     return violations
 
 
+def check_per_pair_function(files: list[Path]) -> list[Violation]:
+    violations = []
+    for f in files:
+        raw_lines = f.read_text().splitlines()
+        code = strip_comments_and_strings(f.read_text())
+        for hit in PER_PAIR_FUNCTION_RE.finditer(code):
+            lineno = code.count("\n", 0, hit.start()) + 1
+            if suppressed(raw_lines[lineno - 1], "no-per-pair-function"):
+                continue
+            violations.append(Violation(
+                "no-per-pair-function", f, lineno,
+                "type-erased per-pair emit: take the emit callback as a "
+                "template parameter (see spatial/local_join.h) or append "
+                "into a batched result buffer (spatial/sweep_kernel.h)"))
+    return violations
+
+
 def check_nodiscard(headers: list[Path]) -> list[Violation]:
     violations = []
     for h in headers:
@@ -480,6 +509,7 @@ def main() -> int:
                 "into batched result buffers (see spatial/sweep_kernel.h); "
                 "trace spans carry plain-data args (see obs/trace_recorder.h)",
         extra_line_re=FUNCTIONAL_HEADER_RE)
+    violations += check_per_pair_function(files)
     violations += check_nodiscard(headers)
     if not args.skip_compile:
         violations += check_self_contained(headers, args.verbose)

@@ -190,7 +190,7 @@ class UnknownSuppressionTest(LintFixture):
                      "rng-discipline", "nodiscard-status",
                      "no-function-hotpath", "layering", "self-contained",
                      "umbrella-reachability", "no-include-cycles",
-                     "no-uninterruptible-sleep"):
+                     "no-uninterruptible-sleep", "no-per-pair-function"):
             self.assertIn(rule, pasjoin_lint.KNOWN_RULES)
 
 
@@ -261,6 +261,52 @@ class UninterruptibleSleepTest(LintFixture):
         f = self.write(
             "exec/suppressed.cc",
             "usleep(1);  // pasjoin-lint: allow(no-uninterruptible-sleep)\n")
+        self.assertEqual(self.check([f]), [])
+
+
+class PerPairFunctionTest(LintFixture):
+    """no-per-pair-function: no type-erased pair emit anywhere in src/."""
+
+    def check(self, files) -> list:
+        return pasjoin_lint.check_per_pair_function(files)
+
+    def test_single_line_in_source_flags(self) -> None:
+        f = self.write(
+            "exec/engine.cc",
+            "int a;\n"
+            "const std::function<void(const Tuple&, const Tuple&)> emit;\n")
+        vs = self.check([f])
+        self.assertEqual(self.rules_of(vs), ["no-per-pair-function"])
+        self.assertEqual(vs[0].line, 2)
+
+    def test_split_declaration_with_names_flags(self) -> None:
+        f = self.write(
+            "core/x.h",
+            "void Join(const std::function<void(const pasjoin::Tuple& r,\n"
+            "                                   const Tuple& s)>& emit);\n")
+        vs = self.check([f])
+        self.assertEqual(self.rules_of(vs), ["no-per-pair-function"])
+        self.assertEqual(vs[0].line, 1)
+
+    def test_other_signatures_pass(self) -> None:
+        f = self.write(
+            "exec/ok.h",
+            "std::function<void()> task;\n"
+            "std::function<PartitionList(const Tuple&, Side)> assign;\n"
+            "template <typename Emit> void Join(Emit&& emit);\n")
+        self.assertEqual(self.check([f]), [])
+
+    def test_comment_mention_not_flagged(self) -> None:
+        f = self.write(
+            "exec/doc.h",
+            "// no std::function<void(const Tuple&, const Tuple&)> here\n")
+        self.assertEqual(self.check([f]), [])
+
+    def test_suppression_honored(self) -> None:
+        f = self.write(
+            "spatial/s.cc",
+            "std::function<void(const Tuple&, const Tuple&)> f;  "
+            "// pasjoin-lint: allow(no-per-pair-function)\n")
         self.assertEqual(self.check([f]), [])
 
 
